@@ -1,12 +1,12 @@
-"""Placement & covering engines — vectorized vs scalar reference.
+"""Placement & covering kernels — vectorized vs scalar oracles.
 
 The placement stack (quadratic seed, spreading, legalization,
-annealing) and the tree-covering DP both ship two engines: the flat
-numpy ``vector`` engine used by default and the scalar ``reference``
-oracles they replaced.  This bench runs the full map-and-place pipeline
-through both engines at growing scales, asserts the results are
-bit-identical, and records the per-phase timing breakdown to
-``BENCH_placement.json``.
+annealing) and the tree-covering DP run flat numpy kernels; the scalar
+algorithms they replaced live on as the oracles in ``tests/oracles/``.
+This bench runs the full map-and-place pipeline on the kernels and on
+the oracles (the ``reference`` columns) at growing scales, asserts the
+results are bit-identical, and records the per-phase timing breakdown
+to ``BENCH_placement.json``.
 
 The acceptance floor applies to the *combined* placement + covering
 time at the largest scale — the quantity the Figure-3 K-loop actually
@@ -28,6 +28,7 @@ from repro.library import CORELIB018
 from repro.network import decompose
 from repro.place import Floorplan, place_base_network
 from repro.place.placer import place_netlist
+from tests.oracles import on_oracles
 
 SCALES = [0.03, 0.06, 0.125]
 
@@ -37,32 +38,29 @@ ANNEAL_MOVES = 4000
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-#: Full-run acceptance: combined placement + covering through the
-#: vector engine must at least halve the reference cost at the largest
-#: scale (ISSUE 6 tentpole criterion).
+#: Full-run acceptance: combined placement + covering on the vector
+#: kernels must at least halve the oracles' cost at the largest scale.
 PLACEMENT_SPEEDUP_FLOOR = 2.0
 
 _cache = {}
 
 
-def _run_engine(base, floorplan, matcher, engine):
+def _run_pass(base, floorplan, matcher):
     """One full mapping + placement pass; returns results and timings."""
     timings = {}
     t0 = time.perf_counter()
-    positions = place_base_network(base, floorplan, engine=engine,
-                                   timings=timings)
+    positions = place_base_network(base, floorplan, timings=timings)
     t_place_ti = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     mapping = map_network(base, CORELIB018, area_congestion(0.001),
                           partition_style="placement", positions=positions,
-                          matcher=matcher, engine=engine)
+                          matcher=matcher)
     t_map = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     placement = place_netlist(mapping.netlist, CORELIB018, floorplan,
-                              anneal_moves=ANNEAL_MOVES, engine=engine,
-                              timings=timings)
+                              anneal_moves=ANNEAL_MOVES, timings=timings)
     t_place_cells = time.perf_counter() - t0
 
     t_dp = float(mapping.stats.get("cover.t_dp", 0.0))
@@ -98,11 +96,10 @@ def run_placement_engines():
                     positions=place_base_network(base, floorplan),
                     matcher=matcher)
 
-        results = {engine: _run_engine(base, floorplan, matcher, engine)
-                   for engine in ("vector", "reference")}
-        vec, ref = results["vector"], results["reference"]
+        vec = _run_pass(base, floorplan, matcher)
+        ref = on_oracles(_run_pass, base, floorplan, matcher)
 
-        # Equivalence gate: the engines must agree bitwise end to end.
+        # Equivalence gate: kernels and oracles agree bitwise end to end.
         assert vec["positions"] == ref["positions"]
         assert vec["cells"] == ref["cells"]
         assert vec["placed"] == ref["placed"]
@@ -144,8 +141,8 @@ def test_placement_engines(benchmark):
           f"{r['vector_phases']['t_place_cells']:.3f}",
           f"{r['t_reference']:.3f}", f"{r['speedup']:.1f}x")
          for r in rows],
-        title="Placement & covering engines - vectorized vs scalar "
-              f"reference ({'smoke' if SMOKE else 'full'} mode; "
+        title="Placement & covering kernels - vectorized vs scalar "
+              f"oracles ({'smoke' if SMOKE else 'full'} mode; "
               "bit-identical results asserted per scale)")
     publish("placement_engines", table)
 
@@ -161,6 +158,6 @@ def test_placement_engines(benchmark):
     if not SMOKE:
         largest = rows[-1]
         assert largest["speedup"] >= PLACEMENT_SPEEDUP_FLOOR, \
-            (f"vector engine only {largest['speedup']:.1f}x over the "
-             f"reference at scale {largest['scale']:g} "
+            (f"vector kernels only {largest['speedup']:.1f}x over the "
+             f"oracles at scale {largest['scale']:g} "
              f"(floor {PLACEMENT_SPEEDUP_FLOOR:.0f}x)")

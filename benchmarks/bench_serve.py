@@ -17,9 +17,8 @@ stream.  The serve leg runs twice, at ``--workers 1`` and
 the determinism half of the acceptance.
 
 ISSUE 9 adds the cross-job legs: the same stream at ``--serve-workers
-1/2/4`` (affinity-chain scheduling across the process pool) and with a
-persistent ``--cache-dir`` (disk-cold populate, then disk-warm reuse).
-Every leg must emit byte-identical rows; ``--serve-workers 4`` must
+1/2/4`` (affinity-chain scheduling across the process pool).  Every leg
+must emit byte-identical rows; ``--serve-workers 4`` must
 deliver the parallel jobs/sec floor over ``--serve-workers 1`` on
 hosts with cores to spare (see :func:`_parallel_floor` — a single-core
 host can only check the scheduler costs nothing).
@@ -99,13 +98,11 @@ def _cli_env():
 
 
 def _run_serve(jobs_path, out_path, workers, summary_path="",
-               serve_workers=1, cache_dir="", extra_args=()):
+               serve_workers=1, extra_args=()):
     """One ``repro serve`` subprocess over a job file; returns wall (s)."""
     argv = [sys.executable, "-m", "repro.cli", "serve", jobs_path,
             "-o", out_path, "--workers", str(workers),
             "--serve-workers", str(serve_workers)]
-    if cache_dir:
-        argv += ["--cache-dir", cache_dir]
     if summary_path:
         argv += ["--summary", summary_path]
     argv += list(extra_args)
@@ -188,12 +185,12 @@ def run_serve_bench(tmpdir):
 
 
 def run_parallel_bench(tmpdir):
-    """Serve-workers 1/2/4 legs plus disk-cold / disk-warm legs.
+    """Serve-workers 1/2/4 legs.
 
     All legs run the same N-job mixed stream in one subprocess each,
     with the per-job fan-out pinned at ``--workers 1`` so the only
-    variable is the cross-job scheduler (and, for the disk legs, the
-    persistent cache).  Every leg's output file must be byte-identical.
+    variable is the cross-job scheduler.  Every leg's output file must
+    be byte-identical.
     """
     if "parallel" in _cache:
         return _cache["parallel"]
@@ -202,27 +199,22 @@ def run_parallel_bench(tmpdir):
     with open(stream_path, "w") as fh:
         for job in jobs:
             fh.write(json.dumps(job) + "\n")
-    cache_dir = os.path.join(tmpdir, "serve-cache")
 
-    def leg(name, serve_workers, use_disk=False):
+    def leg(name, serve_workers):
         out = os.path.join(tmpdir, f"leg_{name}.out")
         summary = os.path.join(tmpdir, f"leg_{name}.json")
         wall = _run_serve(stream_path, out, workers=1,
                           serve_workers=serve_workers,
-                          summary_path=summary,
-                          cache_dir=cache_dir if use_disk else "")
+                          summary_path=summary)
         with open(out) as fh:
             lines = fh.read().splitlines()
         with open(summary) as fh:
             return {"name": name, "serve_workers": serve_workers,
-                    "disk": use_disk, "wall_s": wall,
+                    "wall_s": wall,
                     "jobs_per_sec": N_JOBS / max(wall, 1e-9),
                     "lines": lines, "summary": json.load(fh)}
 
-    legs = [leg("sw1", 1), leg("sw2", 2), leg("sw4", 4),
-            leg("sw1_disk_cold", 1, use_disk=True),
-            leg("sw1_disk_warm", 1, use_disk=True),
-            leg("sw4_disk_warm", 4, use_disk=True)]
+    legs = [leg("sw1", 1), leg("sw2", 2), leg("sw4", 4)]
 
     base = legs[0]
     assert len(base["lines"]) == N_JOBS
@@ -230,12 +222,6 @@ def run_parallel_bench(tmpdir):
         assert entry["lines"] == base["lines"], \
             f"leg {entry['name']} rows differ from --serve-workers 1"
 
-    cold, warm = legs[3]["summary"], legs[4]["summary"]
-    assert cold["cache"]["persist_writes"] > 0, \
-        "disk-cold leg wrote no persistent entries"
-    assert warm["cache"]["persist_hits"] > 0, \
-        "disk-warm leg adopted no persistent entries"
-    assert warm["cache"]["persist_skipped"] == 0
     sw4 = legs[2]["summary"]
     assert sw4["serve_workers"] == 4
     assert sw4["jobs"] == N_JOBS and sw4["ok"] == N_JOBS
@@ -251,11 +237,7 @@ def run_parallel_bench(tmpdir):
                   if k not in ("lines", "summary")} for entry in legs],
         "parallel_speedup": legs[2]["jobs_per_sec"] /
         max(base["jobs_per_sec"], 1e-9),
-        "disk_warm_speedup": legs[4]["jobs_per_sec"] /
-        max(legs[3]["jobs_per_sec"], 1e-9),
         "pool_fallbacks": sw4.get("pool_fallbacks", 0),
-        "persist_writes_cold": cold["cache"]["persist_writes"],
-        "persist_hits_warm": warm["cache"]["persist_hits"],
         "identical_rows": True,
     }
     _cache["parallel"] = result
@@ -416,26 +398,22 @@ def test_serve_telemetry(benchmark, tmp_path):
 
 
 def test_serve_parallel_throughput(benchmark, tmp_path):
-    """Cross-job scheduler and persistent-cache throughput legs."""
+    """Cross-job scheduler throughput legs."""
     r = benchmark.pedantic(run_parallel_bench, args=(str(tmp_path),),
                            rounds=1, iterations=1)
     base = r["legs"][0]
     rows = []
     for entry in r["legs"]:
         label = f"serve-workers {entry['serve_workers']}"
-        if entry["disk"]:
-            label += (" + disk (warm)" if "warm" in entry["name"]
-                      else " + disk (cold)")
         rows.append((label, N_JOBS, f"{entry['wall_s']:.1f}",
                      f"{entry['jobs_per_sec']:.2f}",
                      f"{entry['jobs_per_sec'] / base['jobs_per_sec']:.2f}x"))
     table = format_table(
-        ["mode", "jobs", "wall (s)", "jobs/s", "vs sw1 cold"],
+        ["mode", "jobs", "wall (s)", "jobs/s", "vs sw1"],
         rows,
-        title=("Cross-job scheduler - serve-workers / cache-dir legs "
+        title=("Cross-job scheduler - serve-workers legs "
                f"({'smoke' if SMOKE else 'full'} mode, rows "
-               f"byte-identical across all legs; disk-warm adopted "
-               f"{r['persist_hits_warm']} persistent entries)"))
+               "byte-identical across all legs)"))
     publish("serve_parallel", table)
     _write_payload()
 

@@ -6,16 +6,23 @@ here; the calibrated experiment dies (see EXPERIMENTS.md) are fixed so
 every run reproduces the same rows.
 
 All benches print their table (paper layout) and write it to
-``benchmarks/results/`` for inclusion in EXPERIMENTS.md.
+``benchmarks/results/`` for inclusion in EXPERIMENTS.md.  The engine
+benches time the shipped kernels against the scalar oracles in
+``tests/oracles/``, so the repository root goes on ``sys.path`` here.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict
 
 import pytest
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if REPO_ROOT not in sys.path:
+    sys.path.insert(0, REPO_ROOT)
 
 from repro.circuits import pdc_like, spla_like, too_large_like
 from repro.core import FlowConfig, PositionMap

@@ -12,8 +12,7 @@ Subcommands
 ``serve``   — long-lived batch engine: a JSONL job stream (flow/ksweep/
 ksearch requests) executed against session-scoped caches, results
 streamed back as JSONL in submission order; ``--serve-workers N`` runs
-independent (netlist, die) affinity chains concurrently, ``--cache-dir``
-persists layouts/route pools across restarts, and
+independent (netlist, die) affinity chains concurrently and
 ``--cache-max-entries``/``--cache-max-mb`` bound the session caches
 (full reference: ``docs/serve.md``).  Live telemetry rides on the side:
 ``--status-file`` writes an atomic heartbeat JSON (throttled by
@@ -30,13 +29,12 @@ and exits non-zero on regression,
 ``sta``     — map, place, route and time a circuit; print the critical path.
 
 ``flow``, ``ksweep``, ``ksearch`` and ``serve`` share one execution-flag
-block (``--rows/--workers/--route-engine/--place-engine/
---no-route-reuse``) and the observability
-flags: ``--trace
-FILE`` writes the run's span tree as JSON lines, ``--profile`` prints a
-per-phase time/counter breakdown after the run, and ``--artifacts DIR``
-dumps one congestion heatmap (CSV + ASCII) per evaluated K point
-(defaulting to ``<trace>.artifacts`` when ``--trace`` is given).
+block (``--rows/--workers/--no-route-reuse``) and the observability
+flags: ``--trace FILE`` writes the run's span tree as JSON lines,
+``--profile`` prints a per-phase time/counter breakdown after the run,
+and ``--artifacts DIR`` dumps one congestion heatmap (CSV + ASCII) per
+evaluated K point (defaulting to ``<trace>.artifacts`` when ``--trace``
+is given).
 """
 
 from __future__ import annotations
@@ -59,7 +57,13 @@ from .core import (
     min_area,
     timing_of_point,
 )
-from .io import dump_blif, dump_verilog, k_sweep_table, parse_blif
+from .io import (
+    dump_blif,
+    dump_verilog,
+    k_sweep_table,
+    parse_blif,
+    write_congestion_artifacts,
+)
 from .library import CORELIB018
 from .network import decompose
 from .obs import (
@@ -67,7 +71,6 @@ from .obs import (
     profile_report,
     render_metrics_json,
     render_prometheus,
-    write_congestion_artifacts,
 )
 from .place import Floorplan, place_base_network
 from .serve import (
@@ -199,8 +202,7 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
     reused = sum(int(p.stats.get("route.routes_reused", 0)) for p in points)
     rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
                    for p in points)
-    print(f"router: engine={config.route_engine} "
-          f"routes_reused={reused} segments_rerouted={rerouted}",
+    print(f"router: routes_reused={reused} segments_rerouted={rerouted}",
           file=sys.stderr)
     print(k_sweep_table(points, title=f"{network.name} K sweep "
                                       f"(die {floorplan.area:.0f} um2, "
@@ -265,8 +267,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = ServeEngine(_flow_config(args), workers=args.workers,
                          tracer=tracer, artifacts_dir=artifacts_dir,
                          serve_workers=args.serve_workers,
-                         bounds=bounds, cache_dir=args.cache_dir,
-                         status=status, slow_job_s=args.slow_job_s)
+                         bounds=bounds, status=status,
+                         slow_job_s=args.slow_job_s)
 
     def write_metrics(_document=None) -> None:
         stats = engine.metrics_stats()
@@ -329,7 +331,7 @@ def _cmd_benchreport(args: argparse.Namespace) -> int:
 def _cmd_sta(args: argparse.Namespace) -> int:
     network = _load_network(args.source)
     base = decompose(network)
-    config = FlowConfig(library=CORELIB018, route_engine=args.route_engine)
+    config = FlowConfig(library=CORELIB018)
     floorplan = Floorplan.from_rows(args.rows) if args.rows else \
         Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
     positions = place_base_network(base, floorplan)
@@ -370,9 +372,8 @@ def _flow_parent() -> argparse.ArgumentParser:
 
     One parent parser instead of a per-subcommand copy: ``flow``,
     ``ksweep``, ``ksearch`` and ``serve`` all inherit
-    ``--rows/--workers/--route-engine/--place-engine/--no-route-reuse``
-    from here, so a new flag (or help-text fix) lands everywhere at
-    once.
+    ``--rows/--workers/--no-route-reuse`` from here, so a new flag (or
+    help-text fix) lands everywhere at once.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--rows", type=int, default=0,
@@ -380,14 +381,6 @@ def _flow_parent() -> argparse.ArgumentParser:
     parent.add_argument("--workers", type=int, default=1,
                         help="process fan-out for parallel stages "
                              "(results are identical to --workers 1)")
-    parent.add_argument("--route-engine", default="auto",
-                        choices=["auto", "vector", "reference"],
-                        help="global-routing engine (auto picks by design "
-                             "size; all engines give identical results)")
-    parent.add_argument("--place-engine", default="vector",
-                        choices=["vector", "reference"],
-                        help="placement/covering compute engine (reference "
-                             "= scalar oracles; identical results, slower)")
     parent.add_argument("--no-route-reuse", action="store_true",
                         help="disable cross-K route warm-starting")
     return parent
@@ -396,9 +389,7 @@ def _flow_parent() -> argparse.ArgumentParser:
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
     """The :class:`FlowConfig` the shared execution flags describe."""
     return FlowConfig(library=CORELIB018, workers=args.workers,
-                      route_engine=args.route_engine,
-                      route_reuse=not args.no_route_reuse,
-                      place_engine=args.place_engine)
+                      route_reuse=not args.no_route_reuse)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "into (netlist, die) affinity chains "
                               "(output is byte-identical to "
                               "--serve-workers 1)")
-    p_serve.add_argument("--cache-dir", metavar="DIR", default="",
-                         help="persistent on-disk cache: cold engines "
-                              "warm-start layouts and route pools from "
-                              "here; stale/corrupt entries are skipped")
     p_serve.add_argument("--cache-max-entries", type=int, default=0,
                          help="LRU bound on entries per cache family "
                               "(0 = unbounded)")
@@ -548,8 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--k", type=float, default=0.0)
     p_sta.add_argument("--paths", type=int, default=5,
                        help="how many worst endpoints to list")
-    p_sta.add_argument("--route-engine", default="auto",
-                       choices=["auto", "vector", "reference"])
     p_sta.set_defaults(func=_cmd_sta)
     return parser
 

@@ -50,10 +50,6 @@ from .objectives import CoverObjective
 from .partition import Tree
 from .wirecost import EUCLIDEAN, Point, PositionMap
 
-#: Covering engines: the array DP and the per-match reference oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 @dataclass
 class Solution:
@@ -330,99 +326,6 @@ class _MemoProbe:
         return (members_sorted, tuple(sorted(shared)))
 
 
-def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
-               library: CellLibrary, objective: CoverObjective,
-               boundary: BoundaryInfo,
-               materialized: Set[int],
-               engine: str = VECTOR) -> TreeCover:
-    """Cover one subject tree bottom-up; returns the full DP table.
-
-    ``materialized`` lists vertices whose signal exists as a net even if
-    they are members of this tree (multi-fanout absorption); the root
-    itself is excluded from that treatment since this call is what
-    materializes it.  ``engine`` selects the array DP (``"vector"``,
-    the default) or the per-match reference implementation
-    (``"reference"``); the two are bit-identical.
-    """
-    if engine == VECTOR:
-        return _cover_vector(network, tree, matcher, library, objective,
-                             boundary, materialized)
-    if engine == REFERENCE:
-        return _cover_reference(network, tree, matcher, library, objective,
-                                boundary, materialized)
-    raise MappingError(f"unknown covering engine {engine!r}")
-
-
-def _cover_reference(network: BaseNetwork, tree: Tree, matcher: Matcher,
-                     library: CellLibrary, objective: CoverObjective,
-                     boundary: BoundaryInfo,
-                     materialized: Set[int]) -> TreeCover:
-    """The per-match scalar DP (the oracle the vector engine must match)."""
-    members = tree.members
-    root = tree.root
-    inv = library.inverter
-    positions = boundary.positions
-
-    def consumable(v: int) -> bool:
-        return v in members
-
-    def is_shared(v: int) -> bool:
-        """Leaf refs to these vertices use the existing net."""
-        return v not in members or (v in materialized and v != root)
-
-    solutions: Dict[Tuple[int, bool], Solution] = {}
-
-    def leaf_solution(vertex: int, phase: bool) -> Solution:
-        """Cost of supplying (phase of) a signal at a match leaf."""
-        if is_shared(vertex):
-            pos = boundary.position(vertex)
-            arrival = boundary.arrival(vertex)
-            # Paper-mode wire restarts at tree boundaries (the signal's
-            # wire is charged to its own tree); the transitive variant
-            # carries the committed figure across.
-            wire_t = boundary.wire(vertex)
-            if phase == POS:
-                return Solution(cost=0.0, area=0.0, wire1=0.0, wire=0.0,
-                                wire_transitive=wire_t, arrival=arrival,
-                                com=pos, match=None)
-            # A shared inverter realises the complement at the signal's
-            # location; the netlist builder dedupes these per net, so
-            # its area is charged only while the net does not exist yet.
-            inv_area = 0.0 if boundary.has_complement(vertex) else inv.area
-            arrival_neg = arrival + inv.delay(objective.load_estimate)
-            return Solution(
-                cost=objective.cost(inv_area, 0.0, arrival_neg),
-                area=inv_area, wire1=0.0, wire=0.0,
-                wire_transitive=wire_t,
-                arrival=arrival_neg,
-                com=pos, match=None, inv_source_phase=POS)
-        sol = solutions.get((vertex, phase))
-        if sol is None:
-            raise MappingError(
-                f"no solution for internal vertex {vertex} phase {phase}")
-        return sol
-
-    frozen = tree.frozen_members()
-    order = [v for v in sorted(members)]
-    for v in order:
-        cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
-        matches = matcher.matches_in_tree(v, frozen)
-        for phase in (POS, NEG):
-            for match in matches[phase]:
-                sol = _evaluate(match, v, objective, positions,
-                                leaf_solution)
-                if sol is not None and (cand[phase] is None
-                                        or sol.cost < cand[phase].cost):
-                    cand[phase] = sol
-        _apply_conversions(cand, inv, objective)
-        for phase in (POS, NEG):
-            if cand[phase] is not None:
-                solutions[(v, phase)] = cand[phase]
-    if (root, POS) not in solutions:
-        raise MappingError(f"tree rooted at {root} has no positive cover")
-    return TreeCover(tree, solutions)
-
-
 def _wire_for_mode(sol: Solution, objective: CoverObjective) -> float:
     """The wire figure the objective scores (paper vs transitive)."""
     if objective.transitive_wire:
@@ -467,7 +370,7 @@ class _VertexTable:
     Both phases' candidate lists are concatenated (POS first) so a
     single batched evaluation scores every match at the vertex; the
     per-phase winner is the first-occurrence argmin over each slice,
-    which reproduces the reference scan's strict-``<`` selection.
+    which reproduces a scalar scan's strict-``<`` selection.
     Tables depend only on the match lists (never on the objective or
     the positions), so they are cached on the matcher alongside its
     match memo and amortize across K points.
@@ -505,7 +408,7 @@ class _VertexTable:
         self.cons_groups = []
         for s, idxs in sorted(by_consumed.items()):
             idx = np.array(idxs, dtype=np.intp)
-            # ``list(frozenset)`` order is what the reference centroid
+            # ``list(frozenset)`` order is what a scalar centroid
             # iterates; capture it verbatim so row sums agree bitwise.
             cids = np.array([list(matches[i].consumed) for i in idxs],
                             dtype=np.intp)
@@ -538,18 +441,23 @@ def _vertex_table(matcher: Matcher, vertex: int, frozen,
     return table
 
 
-def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
-                  library: CellLibrary, objective: CoverObjective,
-                  boundary: BoundaryInfo,
-                  materialized: Set[int]) -> TreeCover:
-    """Array DP over the tree: per-vertex batched match evaluation.
+def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
+               library: CellLibrary, objective: CoverObjective,
+               boundary: BoundaryInfo,
+               materialized: Set[int]) -> TreeCover:
+    """Cover one subject tree bottom-up; returns the full DP table.
 
-    Evaluates every candidate match at a vertex in one batch of numpy
-    ops — leaf gathers grouped by leaf count, centroids grouped by
-    consumed-set size — instead of one `_evaluate` call per match.  All
-    floating-point summation orders reproduce the reference engine's
-    exactly (sequential leaf sums, ``mean`` over the consumed set in
-    set-iteration order), so the result is bit-identical.
+    ``materialized`` lists vertices whose signal exists as a net even if
+    they are members of this tree (multi-fanout absorption); the root
+    itself is excluded from that treatment since this call is what
+    materializes it.
+
+    Every candidate match at a vertex is evaluated in one batch of
+    numpy ops — leaf gathers grouped by leaf count, centroids grouped
+    by consumed-set size.  All floating-point summation orders
+    reproduce a per-match scalar DP exactly (sequential leaf sums,
+    ``mean`` over the consumed set in set-iteration order), so the
+    result is bit-identical to the oracle in ``tests/oracles/cover.py``.
     """
     members = tree.members
     root = tree.root
@@ -694,31 +602,3 @@ def _cover_vector(network: BaseNetwork, tree: Tree, matcher: Matcher,
     if (root, POS) not in solutions:
         raise MappingError(f"tree rooted at {root} has no positive cover")
     return TreeCover(tree, solutions)
-
-
-def _evaluate(match: Match, vertex: int, objective: CoverObjective,
-              positions: PositionMap,
-              leaf_solution: Callable[[int, bool], Solution],
-              load: Optional[float] = None) -> Optional[Solution]:
-    """Score one candidate match (Eqs. 1–5)."""
-    leaf_sols: List[Solution] = []
-    for _, (u, phase) in match.leaves:
-        leaf_sols.append(leaf_solution(u, phase))
-    area = match.cell.area + sum(s.area for s in leaf_sols)
-    com = positions.centroid(match.consumed)
-    wire1 = sum(positions.dist(com, s.com) for s in leaf_sols)
-    # Eq. 3: WIRE2 is the fanins' *stored* wire cost — the full WIRE of
-    # each fanin's chosen solution, not just its one-level WIRE1 — so
-    # wire accumulates through deep trees instead of being forgotten
-    # two levels down.
-    wire2 = sum(s.wire for s in leaf_sols)
-    wire = wire1 + wire2
-    wire_transitive = wire1 + sum(s.wire_transitive for s in leaf_sols)
-    arrival = (max((s.arrival for s in leaf_sols), default=0.0)
-               + match.cell.delay(load if load is not None
-                                  else objective.load_estimate))
-    wire_scored = wire_transitive if objective.transitive_wire else wire
-    cost = objective.cost(area, wire_scored, arrival)
-    return Solution(cost=cost, area=area, wire1=wire1, wire=wire,
-                    wire_transitive=wire_transitive, arrival=arrival,
-                    com=com, match=match)

@@ -26,7 +26,6 @@ from ..obs import StatsRegistry
 from ..network.dag import BaseNetwork
 from ..network.netlist import MappedNetlist
 from .covering import BoundaryInfo, CoverMemo, TreeCover, cover_tree
-from .covering import VECTOR as VECTOR_COVER
 from .matching import Matcher, POS
 from .objectives import CoverObjective, min_area
 from .partition import (
@@ -98,13 +97,11 @@ class TechnologyMapper:
                  max_tree_size: Optional[int] = None,
                  partition: Optional[Partition] = None,
                  matcher: Optional[Matcher] = None,
-                 engine: str = VECTOR_COVER,
                  cover_memo: bool = True):  # noqa: D107
         self.network = network
         self.library = library
         self.objective = objective or min_area()
         self.partition_style = partition_style
-        self.engine = engine
         needs_positions = (partition_style == PLACEMENT
                            or self.objective.uses_positions)
         if positions is None:
@@ -157,8 +154,7 @@ class TechnologyMapper:
             if cover is None:
                 cover = cover_tree(network, tree, matcher,
                                    self.library, self.objective,
-                                   builder.boundary, part.materialized,
-                                   engine=self.engine)
+                                   builder.boundary, part.materialized)
                 if probe is not None:
                     probe.store(cover)
             else:
@@ -375,7 +371,6 @@ def map_network(network: BaseNetwork, library: CellLibrary,
                 max_tree_size: Optional[int] = None,
                 partition: Optional[Partition] = None,
                 matcher: Optional[Matcher] = None,
-                engine: str = VECTOR_COVER,
                 cover_memo: bool = True) -> MappingResult:
     """One-call convenience wrapper around :class:`TechnologyMapper`."""
     mapper = TechnologyMapper(network, library, objective=objective,
@@ -383,5 +378,5 @@ def map_network(network: BaseNetwork, library: CellLibrary,
                               positions=positions,
                               max_tree_size=max_tree_size,
                               partition=partition, matcher=matcher,
-                              engine=engine, cover_memo=cover_memo)
+                              cover_memo=cover_memo)
     return mapper.run()

@@ -2,47 +2,20 @@
 
 The benchmark harness prints its reproduction of each table through
 these helpers so outputs line up with the paper's layout for eyeball
-comparison; the observability layer renders congestion heatmaps and
-profile tables through the same module.
+comparison.  The congestion-map artifacts — one CSV + ASCII heatmap per
+evaluated K point, the exact view the Figure-3 loop gated on — are
+written here too (:func:`write_congestion_artifacts`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+import os
+from typing import List, Sequence
+
+from ..obs.profile import format_table
 
 #: Darkness ramp used by the ASCII heatmap rendering.
 HEAT_SHADES = " .:-=+*#%@"
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
-                 title: Optional[str] = None) -> str:
-    """Render a fixed-width ASCII table."""
-    str_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in str_rows:
-        lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def _fmt(cell: object) -> str:
-    if isinstance(cell, float):
-        if cell == 0:
-            return "0"
-        if abs(cell) < 0.01:
-            return f"{cell:g}"
-        if abs(cell) >= 1000:
-            return f"{cell:.0f}"
-        return f"{cell:.2f}"
-    return str(cell)
 
 
 def render_heatmap(values, shades: str = HEAT_SHADES) -> str:
@@ -83,3 +56,53 @@ def sta_table(rows, title: str) -> str:
     headers = ["K", "Critical Path Arrival (ns)",
                "Same path as critical of ref", "Chip Area (um2)", "Rows"]
     return format_table(headers, rows, title=title)
+
+
+def congestion_map_csv(grid) -> str:
+    """Long-format CSV of per-GCell utilization and overflow."""
+    util = grid.utilization_map()
+    over = grid.overflow_map()
+    lines = ["x,y,utilization,overflow"]
+    for x in range(grid.nx):
+        for y in range(grid.ny):
+            lines.append(f"{x},{y},{util[x, y]:.4f},{int(over[x, y])}")
+    return "\n".join(lines) + "\n"
+
+
+def congestion_map_text(grid, title: str = "") -> str:
+    """ASCII heatmap of GCell congestion with a summary header."""
+    header = (f"{title}\n" if title else "") + (
+        f"grid {grid.nx}x{grid.ny} (hcap={grid.hcap}, vcap={grid.vcap}) "
+        f"overflow={grid.overflow_total()} max_edge={grid.overflow_max()}")
+    return header + "\n" + render_heatmap(grid.utilization_map())
+
+
+def _k_tag(k: float) -> str:
+    return f"{k:g}".replace(".", "p").replace("-", "m")
+
+
+def write_congestion_artifacts(points: Sequence, directory: str,
+                               prefix: str = "congestion") -> List[str]:
+    """Dump one CSV + one ASCII heatmap per evaluated point.
+
+    ``points`` are :class:`~repro.core.flow.EvalPoint`-likes (anything
+    with ``k`` and a ``routing`` carrying a grid); points without a
+    routing result are skipped.  Returns the written paths.
+    """
+    os.makedirs(directory, exist_ok=True)
+    written: List[str] = []
+    for idx, point in enumerate(points):
+        routing = getattr(point, "routing", None)
+        if routing is None:
+            continue
+        stem = f"{prefix}_{idx:02d}_k{_k_tag(point.k)}"
+        csv_path = os.path.join(directory, stem + ".csv")
+        with open(csv_path, "w") as handle:
+            handle.write(congestion_map_csv(routing.grid))
+        txt_path = os.path.join(directory, stem + ".txt")
+        title = (f"K={point.k:g} violations={routing.violations} "
+                 f"overflowed_nets={routing.overflowed_nets}")
+        with open(txt_path, "w") as handle:
+            handle.write(congestion_map_text(routing.grid, title) + "\n")
+        written.extend([csv_path, txt_path])
+    return written

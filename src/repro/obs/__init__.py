@@ -1,4 +1,4 @@
-"""Run-scoped observability: tracing, typed stats, congestion artifacts.
+"""Run-scoped observability: tracing, typed stats, live metrics.
 
 This package is the instrumentation layer every flow stage reports
 through:
@@ -8,17 +8,14 @@ through:
 * :class:`Tracer` / :class:`Span` — the hierarchical span tree of one
   run (run → sweep → k-point → phase) with monotonic wall-times,
   emittable as JSON-lines;
-* :func:`profile_report` — per-phase time/counter breakdown tables;
-* :func:`write_congestion_artifacts` — per-K-point GCell overflow
-  heatmaps (CSV + ASCII).
+* :class:`MetricsRegistry` — histograms and rolling gauges streamed
+  while a long-lived engine runs;
+* :func:`profile_report` — per-phase time/counter breakdown tables.
+
+Every domain package reports through this one, so it imports none of
+them (only :mod:`repro.errors`); ``tests/test_imports.py`` enforces it.
 """
 
-# Import order matters: registry/tracer/metrics are leaf modules, while
-# artifacts/profile reach back through repro.io -> repro.place ->
-# repro.library, whose cache module imports StatsRegistry from here.
-# Loading the leaves first means that even when this package is the
-# *entry point* of that cycle, the partially initialized module already
-# exposes the names the cycle needs.
 from .registry import (
     COUNT,
     ENV,
@@ -44,11 +41,6 @@ from .metrics import (
     render_metrics_json,
     render_prometheus,
 )
-from .artifacts import (
-    congestion_map_csv,
-    congestion_map_text,
-    write_congestion_artifacts,
-)
 from .profile import merged_counters, phase_breakdown, profile_report
 
 __all__ = [
@@ -72,13 +64,10 @@ __all__ = [
     "TraceError",
     "Tracer",
     "WORK",
-    "congestion_map_csv",
-    "congestion_map_text",
     "merged_counters",
     "parse_prometheus",
     "phase_breakdown",
     "profile_report",
     "render_metrics_json",
     "render_prometheus",
-    "write_congestion_artifacts",
 ]

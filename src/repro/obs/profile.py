@@ -1,7 +1,8 @@
 """Per-phase time/counter breakdowns rendered from a span tree.
 
 The ``--profile`` CLI flag and the benchmark harness turn one run's
-span tree into two fixed-width tables (via :mod:`repro.io.report`):
+span tree into two fixed-width tables (:func:`format_table`, which
+:mod:`repro.io.report` re-exports for the paper-style result tables):
 
 * **Phases** — every distinct span *path* (``run/sweep/k_point/map``)
   with its call count, total/mean wall-time and share of the run.
@@ -13,13 +14,44 @@ span tree into two fixed-width tables (via :mod:`repro.io.report`):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..io.report import format_table
 from .registry import StatsRegistry
 from .tracer import Span
 
-__all__ = ["merged_counters", "phase_breakdown", "profile_report"]
+__all__ = ["format_table", "merged_counters", "phase_breakdown",
+           "profile_report"]
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
+                 title: Optional[str] = None) -> str:
+    """Render a fixed-width ASCII table."""
+    str_rows = [[_fmt(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in str_rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    sep = "-+-".join("-" * w for w in widths)
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append(sep)
+    for row in str_rows:
+        lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def _fmt(cell: object) -> str:
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) < 0.01:
+            return f"{cell:g}"
+        if abs(cell) >= 1000:
+            return f"{cell:.0f}"
+        return f"{cell:.2f}"
+    return str(cell)
 
 
 def phase_breakdown(root: Span) -> List[Tuple[str, int, float]]:

@@ -18,10 +18,6 @@ from .floorplan import Floorplan
 
 Point = Tuple[float, float]
 
-#: Annealing engines: batched HPWL delta evaluation vs per-net loops.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 def hpwl(positions: np.ndarray, nets: Sequence[Sequence[int]],
          fixed: Sequence[Sequence[Point]]) -> float:
@@ -41,67 +37,13 @@ def hpwl(positions: np.ndarray, nets: Sequence[Sequence[int]],
 def anneal(positions: np.ndarray, nets: Sequence[Sequence[int]],
            fixed: Sequence[Sequence[Point]], floorplan: Floorplan,
            moves: int = 20_000, seed: int = 0,
-           start_temp: Optional[float] = None,
-           engine: str = VECTOR) -> np.ndarray:
+           start_temp: Optional[float] = None) -> np.ndarray:
     """Anneal by swapping cell positions; returns improved positions.
 
     Swapping positions of equal-footprint treatment keeps legality
     approximately intact for the uniform-size use case (base networks);
     for mapped netlists run :func:`repro.place.legalize.legalize_rows`
-    afterwards.  ``engine="vector"`` evaluates the touched nets of each
-    move with one batched gather over padded per-net index arrays and
-    caches accepted net lengths; the RNG call sequence and every
-    accept/reject decision match the reference bit for bit.
-    """
-    n = positions.shape[0]
-    if n < 2 or moves <= 0:
-        return positions.copy()
-    if engine == VECTOR:
-        return _anneal_vector(positions, nets, fixed, moves, seed,
-                              start_temp)
-    rng = random.Random(seed)
-    pos = positions.astype(float).copy()
-
-    # Incremental evaluation: nets touching each cell.
-    nets_of: Dict[int, List[int]] = {}
-    for net_id, movables in enumerate(nets):
-        for cell in movables:
-            nets_of.setdefault(cell, []).append(net_id)
-
-    def net_len(net_id: int) -> float:
-        movables = nets[net_id]
-        pads = fixed[net_id]
-        xs = [pos[i, 0] for i in movables] + [p[0] for p in pads]
-        ys = [pos[i, 1] for i in movables] + [p[1] for p in pads]
-        if len(xs) < 2:
-            return 0.0
-        return (max(xs) - min(xs)) + (max(ys) - min(ys))
-
-    current = sum(net_len(i) for i in range(len(nets)))
-    temp = start_temp if start_temp is not None else current / max(1, len(nets)) or 1.0
-    cooling = 0.98 ** (1.0 / max(1, moves // 100))
-    for _ in range(moves):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        if a == b:
-            continue
-        touched = sorted(set(nets_of.get(a, []) + nets_of.get(b, [])))
-        before = sum(net_len(t) for t in touched)
-        pos[[a, b]] = pos[[b, a]]
-        after = sum(net_len(t) for t in touched)
-        delta = after - before
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-12)):
-            current += delta
-        else:
-            pos[[a, b]] = pos[[b, a]]
-        temp *= cooling
-    return pos
-
-
-def _anneal_vector(positions: np.ndarray, nets: Sequence[Sequence[int]],
-                   fixed: Sequence[Sequence[Point]], moves: int,
-                   seed: int, start_temp: Optional[float]) -> np.ndarray:
-    """Batched annealer.
+    afterwards.
 
     Net extents come from padded (net, pin) index arrays masked with
     ±inf; pad (fixed-terminal) extrema are folded in as precomputed
@@ -109,9 +51,12 @@ def _anneal_vector(positions: np.ndarray, nets: Sequence[Sequence[int]],
     one gather over the touched nets instead of fresh Python loops over
     every pin.  ``max``/``min`` are reduction-order independent and the
     touched-net sums run sequentially over Python floats, keeping every
-    delta bitwise equal to the reference's.
+    delta bitwise equal to a per-net loop's (the oracle in
+    ``tests/oracles/place.py``).
     """
     n = positions.shape[0]
+    if n < 2 or moves <= 0:
+        return positions.copy()
     rng = random.Random(seed)
     pos = positions.astype(float).copy()
     num_nets = len(nets)

@@ -19,28 +19,12 @@ from .floorplan import Floorplan
 
 Point = Tuple[float, float]
 
-#: Legalization engines: vectorized row-window scoring vs the scalar
-#: per-row scan.
-VECTOR = "vector"
-REFERENCE = "reference"
 
-
-def legalize_rows(positions: np.ndarray, widths: Sequence[float],
-                  floorplan: Floorplan,
-                  row_search: int = 6, engine: str = VECTOR) -> np.ndarray:
-    """Legalize (n, 2) positions into rows; returns new (n, 2) array.
-
-    Each output position is the *center* of the placed cell;
-    y coordinates are row centers.  ``row_search`` bounds how many rows
-    above/below the target row are tried before widening the search.
-    ``engine="vector"`` scores the whole candidate-row window with one
-    array expression per cell; bit-identical to the reference scan
-    (``np.argmin`` returns the first minimum, matching the strict-``<``
-    update rule).
-    """
-    n = positions.shape[0]
+def _checked_widths(positions: np.ndarray, widths: Sequence[float],
+                   floorplan: Floorplan) -> np.ndarray:
+    """``widths`` as a float array; raises when the cells cannot fit."""
     widths = np.asarray(widths, dtype=float)
-    if widths.shape[0] != n:
+    if widths.shape[0] != positions.shape[0]:
         raise PlacementError("widths length does not match positions")
     total_width = float(widths.sum())
     capacity = floorplan.width * floorplan.num_rows
@@ -48,31 +32,28 @@ def legalize_rows(positions: np.ndarray, widths: Sequence[float],
         raise PlacementError(
             f"cells ({total_width:.0f} µm) exceed row capacity "
             f"({capacity:.0f} µm): die too small")
-    cursors = np.zeros(floorplan.num_rows)
+    return widths
+
+
+def legalize_rows(positions: np.ndarray, widths: Sequence[float],
+                  floorplan: Floorplan,
+                  row_search: int = 6) -> np.ndarray:
+    """Legalize (n, 2) positions into rows; returns new (n, 2) array.
+
+    Each output position is the *center* of the placed cell;
+    y coordinates are row centers.  ``row_search`` bounds how many rows
+    above/below the target row are tried before widening the search.
+
+    The row windows are tiny (tens of entries), so speed comes from
+    stripping per-candidate numpy scalar overhead, not from array ops:
+    coordinates, widths and cursors live in plain lists and the row
+    centers are precomputed once.  IEEE double arithmetic is the same
+    either way, so every row choice is bit-identical to a scan over
+    the numpy arrays (the oracle in ``tests/oracles/place.py``).
+    """
+    widths = _checked_widths(positions, widths, floorplan)
     out = np.zeros_like(positions, dtype=float)
     order = np.argsort(positions[:, 0], kind="stable")
-    if engine == VECTOR:
-        _legalize_vector(positions, widths, floorplan, row_search,
-                         cursors, out, order)
-    else:
-        _legalize_reference(positions, widths, floorplan, row_search,
-                            cursors, out, order)
-    return out
-
-
-def _legalize_vector(positions: np.ndarray, widths: np.ndarray,
-                     floorplan: Floorplan, row_search: int,
-                     cursors: np.ndarray, out: np.ndarray,
-                     order: np.ndarray) -> None:
-    """Fast legalizer: flat Python floats, hoisted row centers.
-
-    The row windows are tiny (tens of entries), so the win here comes
-    from stripping per-candidate numpy scalar overhead, not from array
-    ops: coordinates, widths and cursors live in plain lists and the
-    row centers are precomputed once.  IEEE double arithmetic is the
-    same either way, so costs — and therefore every row choice — are
-    bit-identical to the reference scan.
-    """
     num_rows = floorplan.num_rows
     row_height = floorplan.row_height
     rows_y = [floorplan.row_y(r) for r in range(num_rows)]
@@ -81,7 +62,7 @@ def _legalize_vector(positions: np.ndarray, widths: np.ndarray,
     xs = positions[:, 0].tolist()
     ys = positions[:, 1].tolist()
     ws = widths.tolist()
-    cur = cursors.tolist()
+    cur = [0.0] * num_rows
     inf = float("inf")
     for i in order.tolist():
         x = xs[i]
@@ -112,42 +93,7 @@ def _legalize_vector(positions: np.ndarray, widths: np.ndarray,
         out[i, 0] = cur[best_row] + width / 2.0
         out[i, 1] = rows_y[best_row]
         cur[best_row] += width
-    cursors[:] = cur
-
-
-def _legalize_reference(positions: np.ndarray, widths: np.ndarray,
-                        floorplan: Floorplan, row_search: int,
-                        cursors: np.ndarray, out: np.ndarray,
-                        order: np.ndarray) -> None:
-    for i in order:
-        x, y = positions[i]
-        width = widths[i]
-        target = int(np.clip(y / floorplan.row_height, 0,
-                             floorplan.num_rows - 1))
-        best_row = -1
-        best_cost = float("inf")
-        radius = row_search
-        while best_row < 0:
-            lo = max(0, target - radius)
-            hi = min(floorplan.num_rows - 1, target + radius)
-            for row in range(lo, hi + 1):
-                if cursors[row] + width > floorplan.width + 1e-9:
-                    continue
-                place_x = cursors[row]
-                cost = (abs(place_x + width / 2.0 - x)
-                        + abs(floorplan.row_y(row) - y))
-                if cost < best_cost:
-                    best_cost = cost
-                    best_row = row
-            if best_row < 0:
-                if lo == 0 and hi == floorplan.num_rows - 1:
-                    raise PlacementError(
-                        "legalization failed: no row can accept cell "
-                        f"{i} (width {width:.2f})")
-                radius *= 2
-        out[i, 0] = cursors[best_row] + width / 2.0
-        out[i, 1] = floorplan.row_y(best_row)
-        cursors[best_row] += width
+    return out
 
 
 def check_legal(positions: np.ndarray, widths: Sequence[float],

@@ -24,10 +24,6 @@ Point = Tuple[float, float]
 #: Nets with more pins than this use a star node instead of a clique.
 CLIQUE_LIMIT = 6
 
-#: Assembly engines: batched COO construction and the per-net oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 @dataclass
 class QpNet:
@@ -46,26 +42,17 @@ class QpNet:
 
 
 def solve_quadratic(num_movable: int, nets: Sequence[QpNet],
-                    default: Point = (0.0, 0.0),
-                    engine: str = VECTOR) -> np.ndarray:
+                    default: Point = (0.0, 0.0)) -> np.ndarray:
     """Solve the quadratic placement; returns an (n, 2) position array.
 
     Nodes not touched by any net stay at ``default``.  Raises
     :class:`PlacementError` when the system is singular (no fixed
     terminal anywhere in a connected component is tolerated by falling
-    back to a tiny regularisation).  ``engine`` selects the batched
-    Laplacian assembly (``"vector"``) or the per-net reference loop;
-    both build bit-identical systems.
+    back to a tiny regularisation).
     """
     if num_movable == 0:
         return np.zeros((0, 2))
-    if engine == VECTOR:
-        diag, bx, by, lap = _assemble_vector(num_movable, nets)
-    elif engine == REFERENCE:
-        diag, bx, by, lap = _assemble_reference(num_movable, nets)
-    else:
-        from ..errors import PlacementError
-        raise PlacementError(f"unknown quadratic engine {engine!r}")
+    diag, bx, by, lap = _assemble(num_movable, nets)
     x = _solve(lap, bx)
     y = _solve(lap, by)
     out = np.column_stack([x[:num_movable], y[:num_movable]])
@@ -74,59 +61,18 @@ def solve_quadratic(num_movable: int, nets: Sequence[QpNet],
     return out
 
 
-def _assemble_reference(num_movable: int, nets: Sequence[QpNet]):
-    """Per-net list-building assembly (the bit-identity oracle)."""
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    diag = np.zeros(num_movable)
-    bx = np.zeros(num_movable)
-    by = np.zeros(num_movable)
-
-    star_points: List[QpNet] = []
-    num_star = 0
-    for net in nets:
-        if net.degree() < 2:
-            continue
-        if net.degree() <= CLIQUE_LIMIT:
-            _add_clique(net, rows, cols, vals, diag, bx, by)
-        else:
-            star_points.append(net)
-            num_star += 1
-
-    n = num_movable + num_star
-    if num_star:
-        diag = np.concatenate([diag, np.zeros(num_star)])
-        bx = np.concatenate([bx, np.zeros(num_star)])
-        by = np.concatenate([by, np.zeros(num_star)])
-        for i, net in enumerate(star_points):
-            star = num_movable + i
-            weight = 1.0  # per spoke
-            for m in net.movables:
-                _add_edge(m, star, weight, rows, cols, vals, diag)
-            for (fx, fy) in net.fixed:
-                diag[star] += weight
-                bx[star] += weight * fx
-                by[star] += weight * fy
-
-    # Tiny regularisation keeps components without anchors solvable.
-    diag = diag + 1e-9
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    lap = lap + sp.diags(diag)
-    return diag, bx, by, lap
-
-
-def _assemble_vector(num_movable: int, nets: Sequence[QpNet]):
-    """Batched COO assembly, bit-identical to the reference loop.
+def _assemble(num_movable: int, nets: Sequence[QpNet]):
+    """Batched COO Laplacian assembly.
 
     Floating-point accumulation into the diagonal / right-hand sides and
     duplicate summing in the COO→CSR conversion are order-sensitive, so
-    the batched path emits entries in exactly the reference order:
-    net-major, and within a clique pin-major ``(i, j>i)`` pairs followed
-    by that pin's fixed anchors.  Nets are grouped by (movable count,
-    fixed count); each group's per-net emission template is scattered to
-    the nets' global offsets, which reproduces the order without a
-    per-pin Python loop.
+    the batched path emits entries in exactly the order of a per-net
+    loop (the oracle in ``tests/oracles/place.py``): net-major, and
+    within a clique pin-major ``(i, j>i)`` pairs followed by that pin's
+    fixed anchors.  Nets are grouped by (movable count, fixed count);
+    each group's per-net emission template is scattered to the nets'
+    global offsets, which reproduces the order without a per-pin Python
+    loop.
     """
     cliques: List[QpNet] = []
     stars: List[QpNet] = []
@@ -240,7 +186,7 @@ def _emit_cliques(cliques: Sequence[QpNet], diag: np.ndarray,
 
 def _emit_stars(stars: Sequence[QpNet], num_movable: int, diag: np.ndarray,
                 bx: np.ndarray, by: np.ndarray):
-    """Emit star-net COO entries and accumulations in reference order."""
+    """Emit star-net COO entries and accumulations in per-net order."""
     m_arr = np.array([len(net.movables) for net in stars], dtype=np.int64)
     f_arr = np.array([len(net.fixed) for net in stars], dtype=np.int64)
     ent_sizes = 2 * m_arr
@@ -293,32 +239,6 @@ def _emit_stars(stars: Sequence[QpNet], num_movable: int, diag: np.ndarray,
     np.add.at(bx, rhs_idx, rhs_fx)
     np.add.at(by, rhs_idx, rhs_fy)
     return rows, cols, vals
-
-
-def _add_clique(net: QpNet, rows: List[int], cols: List[int],
-                vals: List[float], diag: np.ndarray,
-                bx: np.ndarray, by: np.ndarray) -> None:
-    degree = net.degree()
-    weight = 2.0 / degree
-    movs = net.movables
-    for i in range(len(movs)):
-        for j in range(i + 1, len(movs)):
-            _add_edge(movs[i], movs[j], weight, rows, cols, vals, diag)
-        for (fx, fy) in net.fixed:
-            diag[movs[i]] += weight
-            bx[movs[i]] += weight * fx
-            by[movs[i]] += weight * fy
-
-
-def _add_edge(i: int, j: int, weight: float, rows: List[int],
-              cols: List[int], vals: List[float], diag: np.ndarray) -> None:
-    rows.extend((i, j))
-    cols.extend((j, i))
-    vals.extend((-weight, -weight))
-    if i < len(diag):
-        diag[i] += weight
-    if j < len(diag):
-        diag[j] += weight
 
 
 def _solve(lap: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:

@@ -19,22 +19,14 @@ from .floorplan import Floorplan
 #: Stop recursing below this population and scale cells into the region.
 LEAF_POPULATION = 4
 
-#: Spreading engines: level-batched sorting vs the recursive oracle.
-VECTOR = "vector"
-REFERENCE = "reference"
-
 
 def spread(positions: np.ndarray, floorplan: Floorplan,
-           weights: Optional[np.ndarray] = None,
-           engine: str = VECTOR) -> np.ndarray:
+           weights: Optional[np.ndarray] = None) -> np.ndarray:
     """Spread ``positions`` (n, 2) uniformly over the core.
 
     ``weights`` (cell areas) bias the split so each sub-region receives
     population proportional to its capacity; uniform when omitted.
-    Returns a new (n, 2) array.  ``engine="vector"`` batches every
-    region of a recursion level into one stable lexsort and scales all
-    leaf regions together; results are bit-identical to the recursive
-    reference.
+    Returns a new (n, 2) array.
     """
     n = positions.shape[0]
     if n == 0:
@@ -42,16 +34,11 @@ def spread(positions: np.ndarray, floorplan: Floorplan,
     if weights is None:
         weights = np.ones(n)
     out = positions.astype(float).copy()
-    if engine == VECTOR:
-        _spread_vector(out, weights, floorplan)
-        return out
-    index = np.arange(n)
-    _spread_region(out, index, weights,
-                   0.0, 0.0, floorplan.width, floorplan.height, vertical=True)
+    _spread_levels(out, weights, floorplan)
     return out
 
 
-def _spread_vector(out: np.ndarray, weights: np.ndarray,
+def _spread_levels(out: np.ndarray, weights: np.ndarray,
                    floorplan: Floorplan) -> None:
     """Level-synchronous median bisection.
 
@@ -61,6 +48,8 @@ def _spread_vector(out: np.ndarray, weights: np.ndarray,
     order inherited from the previous level — and then performs the
     cheap scalar split bookkeeping per region.  Leaf regions are
     collected and min-max scaled in one batch per population size.
+    The result is bit-identical to recursing region by region (the
+    oracle in ``tests/oracles/place.py``).
     """
     n = out.shape[0]
     regions: List[Tuple[np.ndarray, float, float, float, float, bool]] = [
@@ -81,8 +70,8 @@ def _spread_vector(out: np.ndarray, weights: np.ndarray,
         # One stable sort for every region at this level.  The sort key
         # is (region ordinal, coordinate on that region's split axis);
         # stability makes ties fall back to the concatenation order,
-        # i.e. each region's previous ordering — exactly what the
-        # per-region stable argsort of the reference sees.
+        # i.e. each region's previous ordering — exactly what a
+        # per-region stable argsort sees.
         axes: List[bool] = []
         for i, (index, x0, y0, x1, y1, vertical) in enumerate(live):
             if (x1 - x0) > 1.5 * (y1 - y0):
@@ -141,50 +130,3 @@ def _scale_leaves(out: np.ndarray,
             / safe_span[:, None] * ((hi - pad) - (lo + pad))[:, None]
         centered = ((lo + hi) / 2.0)[:, None]
         out[idx, axis] = np.where(degenerate[:, None], centered, scaled)
-
-
-def _spread_region(out: np.ndarray, index: np.ndarray, weights: np.ndarray,
-                   x0: float, y0: float, x1: float, y1: float,
-                   vertical: bool) -> None:
-    """Recursively place the cells of ``index`` into [x0,x1]×[y0,y1]."""
-    if index.size == 0:
-        return
-    if index.size <= LEAF_POPULATION:
-        _scale_into(out, index, x0, y0, x1, y1)
-        return
-    # Split along the longer dimension for round regions; otherwise
-    # alternate as requested.
-    if (x1 - x0) > 1.5 * (y1 - y0):
-        vertical = True
-    elif (y1 - y0) > 1.5 * (x1 - x0):
-        vertical = False
-    axis = 0 if vertical else 1
-    order = index[np.argsort(out[index, axis], kind="stable")]
-    total = weights[order].sum()
-    half = np.searchsorted(np.cumsum(weights[order]), total / 2.0) + 1
-    half = min(max(int(half), 1), order.size - 1)
-    left, right = order[:half], order[half:]
-    frac = weights[left].sum() / total if total > 0 else 0.5
-    frac = min(max(frac, 0.05), 0.95)
-    if vertical:
-        xm = x0 + (x1 - x0) * frac
-        _spread_region(out, left, weights, x0, y0, xm, y1, not vertical)
-        _spread_region(out, right, weights, xm, y0, x1, y1, not vertical)
-    else:
-        ym = y0 + (y1 - y0) * frac
-        _spread_region(out, left, weights, x0, y0, x1, ym, not vertical)
-        _spread_region(out, right, weights, x0, ym, x1, y1, not vertical)
-
-
-def _scale_into(out: np.ndarray, index: np.ndarray,
-                x0: float, y0: float, x1: float, y1: float) -> None:
-    """Min-max scale the indexed points into the region interior."""
-    for axis, (lo, hi) in enumerate(((x0, x1), (y0, y1))):
-        coords = out[index, axis]
-        span = coords.max() - coords.min()
-        pad = 0.25 * (hi - lo)
-        if span < 1e-12:
-            out[index, axis] = (lo + hi) / 2.0
-        else:
-            out[index, axis] = (lo + pad) + (coords - coords.min()) / span \
-                * ((hi - pad) - (lo + pad))

@@ -6,19 +6,18 @@ accumulated history, which is the negotiation mechanism that lets the
 rip-up-and-reroute loop converge on routable designs and expose true
 overflow on unroutable ones.
 
-The search is split into two phases so the two router engines can share
-exact decisions:
+The search is split into two phases so the vectorized router and this
+per-edge search share exact decisions:
 
-1. a **distance field** over the search window — per-edge Dijkstra here
-   (the reference engine's rendition), vectorized sweep relaxation in
-   :mod:`repro.route.router` — and
+1. a **distance field** over the search window — per-edge Dijkstra here,
+   vectorized sweep relaxation in :mod:`repro.route.router` — and
 2. a **canonical backtrack** (:func:`backtrack_path`) that walks from
    the target to the source choosing, at every step, the first neighbor
    in a fixed scan order whose distance plus edge cost equals the
    current cell's distance.
 
 Because every edge cost is an exactly-representable float64 (unit base,
-integer history, penalty x integer overflow), both engines compute
+integer history, penalty x integer overflow), both searches compute
 bit-identical distance fields, and the shared backtrack then yields
 bit-identical paths.
 """

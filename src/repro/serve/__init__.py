@@ -8,8 +8,7 @@ package turns the same flow entry points into a cache-warm service:
   field-by-field reference in ``docs/jobs-schema.md``);
 * :class:`SessionCaches` — content-keyed netlist, layout, matcher and
   per-(die, netlist) route-cache pools shared across jobs, with LRU
-  :class:`CacheBounds` and an optional persistent disk tier
-  (:class:`PersistentCache`, ``--cache-dir``);
+  :class:`CacheBounds`;
 * the :mod:`~repro.serve.scheduler` — (netlist, die) affinity chains
   that run independent jobs concurrently (``--serve-workers``) while
   keeping the output stream byte-identical to a sequential run;
@@ -26,7 +25,6 @@ in ``docs/observability.md``.
 from .caches import CacheBounds, SessionCaches, die_key, source_key
 from .engine import ServeEngine
 from .jobs import JOB_COMMANDS, Job, JobError, JobResult, parse_job, parse_jobs
-from .persist import PersistentCache, cache_fingerprint
 from .scheduler import affinity_key, plan_chains
 from .status import (
     STATUS_SCHEMA_VERSION,
@@ -43,13 +41,11 @@ __all__ = [
     "Job",
     "JobError",
     "JobResult",
-    "PersistentCache",
     "STATUS_SCHEMA_VERSION",
     "ServeEngine",
     "SessionCaches",
     "StatusWriter",
     "affinity_key",
-    "cache_fingerprint",
     "die_key",
     "follow",
     "is_end_marker",

@@ -13,8 +13,8 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   :class:`~repro.network.dag.BaseNetwork` plus its source network;
   flow jobs never mutate either.
 * **Layouts** — the technology-independent placement and the
-  K-independent partition, keyed by (netlist, die, seed, engines,
-  partition style): exactly the products :func:`~repro.core.flow.k_sweep`
+  K-independent partition, keyed by (netlist, die, seed, partition
+  style): exactly the products :func:`~repro.core.flow.k_sweep`
   hoists out of its per-K loop, hoisted one level further — out of the
   per-job loop.
 * **Matchers** — one :class:`~repro.core.matching.Matcher` per
@@ -33,7 +33,7 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
 Every cache is a pure speedup: mapping, placement and match results are
 deterministic functions of their keys, and route warm starts never
 change reported rows — so a warm engine emits byte-identical result
-lines to a cold one, bounded or not, disk-backed or not.
+lines to a cold one, bounded or not.
 
 Lifecycle
 ---------
@@ -47,16 +47,6 @@ estimate is exported as the ``serve.cache_bytes`` gauge — both visible
 in ``--profile`` and the engine summary.  Because entries are pure
 speedups, eviction can never change a result line, only the wall-clock
 of a later job that re-misses.
-
-Below the in-memory tier sits an optional
-:class:`~repro.serve.persist.PersistentCache` (``--cache-dir``):
-layouts are written through on first computation, route pools after
-every job that advanced their snapshot, and a *cold* process warm
-starts from disk where the version/fingerprint/key guards allow —
-stale or corrupt entries are skipped, never adopted (see
-:mod:`repro.serve.persist`).  Memory hit/miss counters are unaffected
-by the disk tier: a disk hit is still a memory miss, it just skips the
-recompute.
 """
 
 from __future__ import annotations
@@ -79,7 +69,6 @@ from ..network.decompose import decompose
 from ..obs import StatsRegistry
 from ..place import Floorplan, place_base_network
 from ..route.router import RouteCache
-from .persist import PersistentCache
 
 __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
            "source_key"]
@@ -196,24 +185,21 @@ class _Entry:
 class SessionCaches:
     """The four cross-job cache families plus lifecycle bookkeeping.
 
-    ``bounds`` activates LRU eviction (see :class:`CacheBounds`);
-    ``persist`` attaches the on-disk tier (see
-    :class:`~repro.serve.persist.PersistentCache`).  Both default to
-    off, which reproduces the unbounded in-memory behaviour exactly.
+    ``bounds`` activates LRU eviction (see :class:`CacheBounds`); the
+    default is unbounded.
     """
 
     def __init__(self, library: CellLibrary,
-                 bounds: Optional[CacheBounds] = None,
-                 persist: Optional[PersistentCache] = None):  # noqa: D107
+                 bounds: Optional[CacheBounds] = None):  # noqa: D107
         self.library = library
         self.bounds = bounds if bounds is not None else CacheBounds()
-        self.persist = persist
         self._families: Dict[str, Dict[Any, _Entry]] = {
             family: {} for family in FAMILIES}
-        #: The routes-dict object last persisted per route-pool key —
-        #: identity comparison detects snapshot advances (``store()``
-        #: rebinds the dict), and holding the reference pins its id.
-        self._route_saved: Dict[Any, Any] = {}
+        #: The routes-dict object each route pool's byte estimate was
+        #: taken of — identity comparison detects snapshot advances
+        #: (``store()`` rebinds the dict), and holding the reference
+        #: pins its id.
+        self._route_sized: Dict[Any, Any] = {}
         self._tick = 0
         self._counts: Dict[str, int] = {}
         for family in FAMILIES:
@@ -244,12 +230,9 @@ class SessionCaches:
             self._enforce_bounds()
 
     def _evict(self, family: str, key: Any) -> None:
-        entry = self._families[family].pop(key)
+        self._families[family].pop(key)
         if family == "route_pool":
-            # A dirty pool's snapshot would otherwise be lost: flush it
-            # to the disk tier (when there is one) before letting go.
-            self._persist_route_pool(key, entry.value)
-            self._route_saved.pop(key, None)
+            self._route_sized.pop(key, None)
         self._counts[f"{family}_evictions"] += 1
 
     def _enforce_bounds(self) -> None:
@@ -304,40 +287,23 @@ class SessionCaches:
         """(positions, partition) for a (netlist, die, config) triple.
 
         The placement is seeded exactly as the uninjected entry points
-        seed it (``config.seed`` / ``config.place_engine``), so cached
-        layouts are bit-identical to freshly computed ones.  On a
-        memory miss the disk tier is consulted before recomputing; a
-        fresh computation is written through to it.
+        seed it (``config.seed``), so cached layouts are bit-identical to
+        freshly computed ones.
         """
-        lkey = (key, die_key(floorplan), config.seed, config.place_engine,
-                config.partition_style)
+        lkey = (key, die_key(floorplan), config.seed, config.partition_style)
         cached = self._get("layout", lkey)
         if cached is not None:
             return cached
-        stored = self.persist.load("layout", lkey) \
-            if self.persist is not None else None
-        if stored is not None:
-            positions, part = stored
-        else:
-            positions = place_base_network(base, floorplan,
-                                           seed=config.seed,
-                                           engine=config.place_engine)
-            part = make_partition(base, config.partition_style,
-                                  positions=positions)
-            if self.persist is not None:
-                self.persist.store("layout", lkey, (positions, part))
+        positions = place_base_network(base, floorplan, seed=config.seed)
+        part = make_partition(base, config.partition_style,
+                              positions=positions)
         self._put("layout", lkey, (positions, part))
         return positions, part
 
     # -- matchers --------------------------------------------------------
 
     def matcher(self, key: str, base: BaseNetwork) -> Matcher:
-        """The shared matcher (match memo + cover memo) of a netlist.
-
-        Matchers are memo *carriers*, not memo *contents*: they are
-        never persisted — their value is the in-process match/cover
-        memos, which rebuild incrementally anyway.
-        """
+        """The shared matcher (match memo + cover memo) of a netlist."""
         cached = self._get("matcher", key)
         if cached is not None:
             return cached
@@ -354,79 +320,30 @@ class SessionCaches:
         job can never warm-start from a foreign shard; within one
         entry, the flow layer's clean-snapshot rule (only
         zero-violation routings are stored) applies across jobs exactly
-        as it does across the K points of one sweep.  A cold pool is
-        seeded from the disk tier when a guarded snapshot exists there.
+        as it does across the K points of one sweep.
         """
         rkey = (key, die_key(floorplan))
         cached = self._get("route_pool", rkey)
         if cached is not None:
             return cached
         cache = RouteCache()
-        stored = self.persist.load("route", rkey) \
-            if self.persist is not None else None
-        if stored is not None:
-            cache.grid_key = stored["grid_key"]
-            cache.routes = {sig: [np.asarray(arr) for arr in arrs]
-                            for sig, arrs in stored["routes"]}
-            # The adopted snapshot is what disk already holds — do not
-            # rewrite it until a job advances it.
-            self._route_saved[rkey] = cache.routes
         self._put("route_pool", rkey, cache)
         return cache
 
-    @staticmethod
-    def _routes_equal(saved: Any, routes: Dict[Any, Any]) -> bool:
-        """Whether a pool's routes match the last-persisted snapshot."""
-        if saved is routes:
-            return True
-        if saved is None or saved.keys() != routes.keys():
-            return False
-        for sig, arrs in routes.items():
-            olds = saved[sig]
-            if len(olds) != len(arrs) or not all(
-                    np.array_equal(old, arr)
-                    for old, arr in zip(olds, arrs)):
-                return False
-        return True
-
-    def _persist_route_pool(self, rkey: Any, cache: RouteCache) -> None:
-        """Write one pool's snapshot through to disk if it advanced.
-
-        "Advanced" means the routes differ from the last snapshot this
-        session persisted (or adopted from disk) — a job that re-stored
-        an identical clean snapshot does not trigger a rewrite.
-        """
-        if self.persist is None or not cache.routes:
-            return
-        if self._routes_equal(self._route_saved.get(rkey), cache.routes):
-            self._route_saved[rkey] = cache.routes
-            return
-        payload = {"grid_key": cache.grid_key,
-                   "routes": sorted((sig, list(arrs))
-                                    for sig, arrs in cache.routes.items())}
-        if self.persist.store("route", rkey, payload):
-            self._route_saved[rkey] = cache.routes
-
     def sync(self) -> None:
-        """Flush advanced route-pool snapshots to the disk tier and
-        refresh their byte estimates.
+        """Refresh the byte estimates of route pools that advanced.
 
         The engine calls this after every job: route pools are the one
         family whose entries *grow* after insertion (the flow layer
-        stores clean snapshots into them), so their accounting — and
-        their persistent copies — are brought up to date here rather
-        than on some later, unrelated access.
+        stores clean snapshots into them), so their accounting is
+        brought up to date here rather than on some later, unrelated
+        access.
         """
-        entries = self._families["route_pool"]
-        for rkey, entry in entries.items():
+        for rkey, entry in self._families["route_pool"].items():
             cache = entry.value
-            if self._route_saved.get(rkey) is not cache.routes:
-                self._persist_route_pool(rkey, cache)
+            if self._route_sized.get(rkey) is not cache.routes:
                 entry.nbytes = approx_nbytes(cache)
-                if self.persist is None:
-                    # No disk tier: the saved reference only marks the
-                    # snapshot as accounted, so sync stays O(changed).
-                    self._route_saved[rkey] = cache.routes
+                self._route_sized[rkey] = cache.routes
         if self.bounds.bounded:
             self._enforce_bounds()
 
@@ -438,26 +355,21 @@ class SessionCaches:
     # -- reporting -------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
-        """Plain hit/miss/eviction snapshot plus sizes and disk-tier
-        counters (all int; see the module docstring for semantics)."""
+        """Plain hit/miss/eviction snapshot plus sizes (all int; see
+        the module docstring for semantics)."""
         out = dict(self._counts)
         for family in FAMILIES:
             out[f"{family}_entries"] = len(self._families[family])
         out["evictions"] = sum(self._counts[f"{f}_evictions"]
                                for f in FAMILIES)
         out["cache_bytes"] = self.cache_bytes()
-        if self.persist is not None:
-            out.update(self.persist.counters())
-        else:
-            out.update({"persist_hits": 0, "persist_misses": 0,
-                        "persist_skipped": 0, "persist_writes": 0})
         return out
 
     def stats(self) -> StatsRegistry:
         """The snapshot as ``serve.*`` stats (for spans / ``--profile``).
 
-        Hit/miss/eviction and disk-tier tallies are ``work`` (they vary
-        with the execution plan); entry counts are ``env`` facts; the
+        Hit/miss/eviction tallies are ``work`` (they vary with the
+        execution plan); entry counts are ``env`` facts; the
         byte estimate is the ``serve.cache_bytes`` gauge.
         """
         return counters_to_stats(self.counters())
@@ -483,8 +395,8 @@ def merge_counters(target: Dict[str, int],
     The engine uses this to aggregate per-chain cache counters from
     parallel workers into one session view; summing is correct for
     every key exported by :meth:`SessionCaches.counters` (hit/miss/
-    eviction/persist tallies, entry counts and byte estimates are all
-    additive across disjoint chain-local caches).
+    eviction tallies, entry counts and byte estimates are all additive
+    across disjoint chain-local caches).
     """
     for source in sources:
         for name, value in source.items():

@@ -26,9 +26,7 @@ against it.  The execution model is deterministic by construction:
 * **Caches are injected, not rebuilt — and they have a lifecycle.**
   The netlist, layout, matcher and per-(die, netlist) route-cache pool
   come from the session cache; :class:`~repro.serve.caches.CacheBounds`
-  adds LRU entry/byte limits for long sessions, and ``cache_dir``
-  attaches the persistent disk tier so even *cold* engines warm-start
-  layouts and route pools (:mod:`repro.serve.persist`).
+  adds LRU entry/byte limits for long sessions.
 
 A failing job (unknown benchmark, unroutable die, bad BLIF) reports
 ``ok: false`` with the error message and the stream continues — one
@@ -67,13 +65,9 @@ from ..core import (
 )
 from ..errors import ReproError
 from ..exec import fan_out
+from ..io import write_congestion_artifacts
 from ..library import library_build_stats
-from ..obs import (
-    MetricsRegistry,
-    StatsRegistry,
-    Tracer,
-    write_congestion_artifacts,
-)
+from ..obs import MetricsRegistry, StatsRegistry, Tracer
 from ..place import Floorplan
 from .caches import (
     CacheBounds,
@@ -82,7 +76,6 @@ from .caches import (
     merge_counters,
 )
 from .jobs import Job, JobResult
-from .persist import PersistentCache, cache_fingerprint
 from .scheduler import plan_chains, run_chain
 from .status import STATUS_SCHEMA_VERSION, StatusWriter
 
@@ -111,9 +104,8 @@ class ServeEngine:
 
     ``workers`` is the default in-job fan-out; ``serve_workers`` the
     cross-job chain fan-out (see the module docstring for how the two
-    compose).  ``bounds`` caps the session caches, ``cache_dir``
-    attaches the persistent disk tier; both default to off.  An
-    explicitly injected ``caches`` wins over ``bounds``/``cache_dir``.
+    compose).  ``bounds`` caps the session caches (default: unbounded);
+    an explicitly injected ``caches`` wins over ``bounds``.
 
     ``status`` attaches a heartbeat writer, ``slow_job_s`` arms the
     soft per-job deadline watchdog (0 = off); neither affects result
@@ -126,7 +118,6 @@ class ServeEngine:
                  caches: Optional[SessionCaches] = None,
                  serve_workers: int = 1,
                  bounds: Optional[CacheBounds] = None,
-                 cache_dir: str = "",
                  status: Optional[StatusWriter] = None,
                  slow_job_s: float = 0.0):  # noqa: D107
         self.config = config
@@ -135,17 +126,10 @@ class ServeEngine:
         self.tracer = tracer
         self.artifacts_dir = artifacts_dir
         self.bounds = bounds
-        self.cache_dir = cache_dir
         self.status = status
         self.slow_job_s = max(0.0, slow_job_s)
-        if caches is not None:
-            self.caches = caches
-        else:
-            persist = PersistentCache(
-                cache_dir, cache_fingerprint(config.library)) \
-                if cache_dir else None
-            self.caches = SessionCaches(config.library, bounds=bounds,
-                                        persist=persist)
+        self.caches = caches if caches is not None \
+            else SessionCaches(config.library, bounds=bounds)
         self.results: List[JobResult] = []
         self.metrics = MetricsRegistry()
         self.slow_jobs = 0
@@ -180,7 +164,7 @@ class ServeEngine:
                 id=job.id, cmd=job.cmd, source=job.source, ok=False,
                 verdict="error", error=f"{type(exc).__name__}: {exc}"), []
         # Route pools may have advanced during the job: re-account them
-        # and write them through to the disk tier before the next job.
+        # before the next job.
         self.caches.sync()
         t_job = time.perf_counter() - t0
         for point in points:
@@ -304,7 +288,7 @@ class ServeEngine:
         emission order exactly.
         """
         chains = plan_chains(jobs)
-        payload = (self.config, self.workers, self.bounds, self.cache_dir,
+        payload = (self.config, self.workers, self.bounds,
                    self.artifacts_dir, self.tracer is not None,
                    self.slow_job_s)
         tasks = [(index, tuple((i, jobs[i]) for i in chain))
@@ -372,8 +356,7 @@ class ServeEngine:
         Sequentially executed jobs hit this engine's own caches;
         chains executed by ``serve_workers > 1`` ran over chain-local
         caches whose counters were merged back — this view sums both,
-        so hit/miss/eviction/persistence arithmetic holds across
-        scheduling modes.
+        so hit/miss/eviction arithmetic holds across scheduling modes.
         """
         counters = self.caches.counters()
         return merge_counters(counters, [self._chain_counters])
@@ -382,9 +365,8 @@ class ServeEngine:
         """Attach the end-of-session cache stats to the trace (idempotent).
 
         Called by the CLI before closing the tracer so ``--profile``
-        shows the ``serve.*`` counters — hits/misses, evictions,
-        ``serve.cache_bytes`` and the persistent-tier tallies — next
-        to the per-phase times.
+        shows the ``serve.*`` counters — hits/misses, evictions and
+        ``serve.cache_bytes`` — next to the per-phase times.
         """
         if self._finished or self.tracer is None:
             return
@@ -463,8 +445,8 @@ class ServeEngine:
         """Machine-readable session summary (plan-dependent numbers).
 
         Jobs/sec over the engine's run wall-time, the session-cache
-        hit/miss/eviction counters with derived rates, the persistent
-        disk-tier counters, the library build-memo counters, and the
+        hit/miss/eviction counters with derived rates, the library
+        build-memo counters, and the
         per-job timing list.  Everything here may legitimately vary
         run to run; the deterministic payload is the result lines
         themselves.

@@ -14,7 +14,9 @@ object per line::
 ``source`` is a BLIF path or a ``name@scale`` benchmark (exactly the
 CLI's positional); ``rows`` sizes the die (0 = the CLI's default
 utilization-derived die); ``workers`` overrides the engine's default
-per-job fan-out.  Unknown fields are rejected so typos fail loudly.
+per-job fan-out.  Unknown fields — and a ``strategy`` outside the
+:mod:`~repro.core.ksearch` strategies — are rejected so typos fail
+loudly.
 
 A :class:`JobResult` is the corresponding output line.  It carries
 **only deterministic fields** — the evaluated rows (``EvalPoint.row()``
@@ -31,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.ksearch import STRATEGIES
 from ..errors import ReproError
 
 __all__ = ["Job", "JobError", "JobResult", "JOB_COMMANDS", "parse_job",
@@ -112,12 +115,15 @@ def parse_job(data: Dict[str, Any], index: int = 0) -> Job:
     if not isinstance(tolerance, int) or tolerance < 0:
         raise JobError(f"job {index}: tolerance must be a non-negative int")
     strategy = data.get("strategy", "bisect")
+    if strategy not in STRATEGIES:
+        raise JobError(f"job {index}: strategy must be one of "
+                       f"{STRATEGIES}, got {strategy!r}")
     workers = data.get("workers")
     if workers is not None and (not isinstance(workers, int) or workers < 1):
         raise JobError(f"job {index}: workers must be a positive int")
     job_id = data.get("id", f"job{index}")
     return Job(id=str(job_id), cmd=cmd, source=source, rows=rows, k=k,
-               tolerance=tolerance, strategy=str(strategy), workers=workers)
+               tolerance=tolerance, strategy=strategy, workers=workers)
 
 
 def parse_jobs(lines: Iterable[str]) -> List[Job]:

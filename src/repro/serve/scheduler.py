@@ -17,14 +17,13 @@ chain**:
   they interleave freely across chains.
 
 Each chain executes in a pool worker with its own chain-local
-:class:`~repro.serve.caches.SessionCaches` (optionally backed by the
-shared ``--cache-dir`` disk tier, whose atomic writes make concurrent
-chains safe).  Because every cache is a pure speedup, chain-local
-caches produce byte-identical result lines to the shared sequential
-cache — asserted by ``tests/serve/test_scheduler.py`` and the CI
-serve-parallel smoke step.  Results return keyed by submission index
-and the engine re-emits them in submission order, so the output stream
-of ``--serve-workers N`` is byte-identical to ``--serve-workers 1``.
+:class:`~repro.serve.caches.SessionCaches`.  Because every cache is a
+pure speedup, chain-local caches produce byte-identical result lines to
+the shared sequential cache — asserted by
+``tests/serve/test_scheduler.py`` and the CI serve-parallel smoke step.
+Results return keyed by submission index and the engine re-emits them
+in submission order, so the output stream of ``--serve-workers N`` is
+byte-identical to ``--serve-workers 1``.
 
 Inside a pool worker the per-job ``workers`` fan-out degrades to the
 serial loop (pool workers cannot fork their own pools); cross-job
@@ -111,7 +110,7 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
     """Execute one affinity chain in a worker process (the pool task fn).
 
     ``payload`` is the engine-constant tuple ``(config, workers,
-    bounds, cache_dir, artifacts_dir, want_trace, slow_job_s)``;
+    bounds, artifacts_dir, want_trace, slow_job_s)``;
     ``task`` carries the chain index and its (submission index, job)
     pairs.  The chain gets a private single-threaded engine over
     chain-local caches; its trace (when the parent traces) comes back
@@ -121,13 +120,13 @@ def run_chain(payload: Any, task: Tuple[int, Tuple[Tuple[int, Job], ...]]
     from .engine import ServeEngine
 
     chain_index, indexed_jobs = task
-    (config, workers, bounds, cache_dir, artifacts_dir, want_trace,
+    (config, workers, bounds, artifacts_dir, want_trace,
      slow_job_s) = payload
     tracer = Tracer("chain", index=chain_index, jobs=len(indexed_jobs)) \
         if want_trace else None
     engine = ServeEngine(config, workers=workers, tracer=tracer,
                          artifacts_dir=artifacts_dir, bounds=bounds,
-                         cache_dir=cache_dir, slow_job_s=slow_job_s)
+                         slow_job_s=slow_job_s)
     results = engine.run([job for _, job in indexed_jobs])
     span = tracer.close() if tracer is not None else None
     return ChainOutcome(

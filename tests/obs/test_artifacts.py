@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.obs import (
+from repro.io import (
     congestion_map_csv,
     congestion_map_text,
     write_congestion_artifacts,

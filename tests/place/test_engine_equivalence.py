@@ -1,12 +1,12 @@
-"""Vectorized placement/covering engines vs scalar reference oracles.
+"""Vectorized placement/covering kernels vs their scalar oracles.
 
-The batched kernels added for the flat-array placement stack — sparse
+The batched kernels of the flat-array placement stack — sparse
 quadratic assembly, level-synchronous spreading, fast legalization,
 cached-HPWL annealing — and the array covering DP must all be pure
 speedups: on any input they produce *bit-identical* results to the
-scalar reference implementations they replace.  These tests pin that
-contract at every level: kernel, placer, covering DP, and full flow
-(serial and process fan-out).
+scalar oracles in ``tests/oracles/``.  These tests pin that contract at
+every level: kernel, placer, covering DP, and full flow (serial and
+process fan-out).
 """
 
 import random
@@ -36,6 +36,8 @@ from repro.place.legalize import check_legal, legalize_rows
 from repro.place.placer import place_base_network, place_netlist
 from repro.place.quadratic import QpNet, solve_quadratic
 from repro.place.spreading import spread
+from tests.oracles import cover, on_oracles, oracle_engines  # noqa: F401
+from tests.oracles import place as oracle
 
 FLOORPLANS = [
     Floorplan(width=104.0, row_height=5.2, num_rows=20),
@@ -73,8 +75,8 @@ class TestKernelEquivalence:
         num_movable = 40 + 30 * seed
         nets = random_qp_nets(seed, count=80 + 40 * seed,
                               num_movable=num_movable)
-        ref = solve_quadratic(num_movable, nets, engine="reference")
-        vec = solve_quadratic(num_movable, nets, engine="vector")
+        ref = oracle.solve_quadratic(num_movable, nets)
+        vec = solve_quadratic(num_movable, nets)
         assert np.array_equal(ref, vec)
 
     def test_quadratic_star_only_and_clique_only(self):
@@ -84,8 +86,8 @@ class TestKernelEquivalence:
         cliques = [QpNet(movables=[k, k + 1], fixed=[(1.0 * k, 2.0 * k)])
                    for k in range(30)]
         for nets in (stars, cliques, stars + cliques):
-            ref = solve_quadratic(36, nets, engine="reference")
-            vec = solve_quadratic(36, nets, engine="vector")
+            ref = oracle.solve_quadratic(36, nets)
+            vec = solve_quadratic(36, nets)
             assert np.array_equal(ref, vec)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -96,8 +98,8 @@ class TestKernelEquivalence:
         pos = random_positions(seed, n, floorplan)
         weights = np.random.default_rng(seed + 99).uniform(0.5, 4.0, n)
         for w in (None, weights):
-            ref = spread(pos, floorplan, weights=w, engine="reference")
-            vec = spread(pos, floorplan, weights=w, engine="vector")
+            ref = oracle.spread(pos, floorplan, weights=w)
+            vec = spread(pos, floorplan, weights=w)
             assert np.array_equal(ref, vec)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -109,8 +111,8 @@ class TestKernelEquivalence:
         n = min(40 + 60 * seed, int(capacity / 5.5))
         pos = random_positions(seed, n, floorplan)
         widths = rng.choice([2.4, 3.6, 4.8], n)
-        ref = legalize_rows(pos, widths, floorplan, engine="reference")
-        vec = legalize_rows(pos, widths, floorplan, engine="vector")
+        ref = oracle.legalize_rows(pos, widths, floorplan)
+        vec = legalize_rows(pos, widths, floorplan)
         assert np.array_equal(ref, vec)
         check_legal(vec, widths, floorplan)
 
@@ -126,10 +128,9 @@ class TestKernelEquivalence:
         fixed = [[(float(rng.uniform(0, 104.0)), float(rng.uniform(0, 104.0)))
                   for _ in range(int(rng.integers(0, 3)))]
                  for _ in range(2 * n)]
-        ref = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed,
-                     engine="reference")
-        vec = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed,
-                     engine="vector")
+        ref = oracle.anneal(pos, nets, fixed, floorplan, moves=1500,
+                            seed=seed)
+        vec = anneal(pos, nets, fixed, floorplan, moves=1500, seed=seed)
         assert np.array_equal(ref, vec)
 
 
@@ -174,12 +175,11 @@ class TestCoveringEquivalence:
         objective = area_congestion(k) if k else min_area()
         boundary = BoundaryInfo(positions)
         for root in part.roots:
-            ref = cover_tree(base, part.trees[root], matcher, CORELIB018,
-                             objective, boundary, part.materialized,
-                             engine="reference")
+            ref = cover.cover_tree(base, part.trees[root], matcher,
+                                   CORELIB018, objective, boundary,
+                                   part.materialized)
             vec = cover_tree(base, part.trees[root], matcher, CORELIB018,
-                             objective, boundary, part.materialized,
-                             engine="vector")
+                             objective, boundary, part.materialized)
             assert set(ref.solutions) == set(vec.solutions)
             for key in ref.solutions:
                 assert solution_key(ref.solutions[key]) == \
@@ -187,17 +187,14 @@ class TestCoveringEquivalence:
 
     @pytest.mark.parametrize("k", [0.0, 0.01])
     def test_mapper_end_to_end(self, k):
-        """map_network with either engine emits the identical netlist."""
+        """map_network on the oracles emits the identical netlist."""
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(16)
         positions = place_base_network(base, floorplan)
-        results = {}
-        for engine in ("vector", "reference"):
-            r = map_network(base, CORELIB018, area_congestion(k),
-                            partition_style="placement",
-                            positions=positions, engine=engine)
-            results[engine] = r
-        vec, ref = results["vector"], results["reference"]
+        args = (base, CORELIB018, area_congestion(k))
+        kwargs = dict(partition_style="placement", positions=positions)
+        vec = map_network(*args, **kwargs)
+        ref = on_oracles(map_network, *args, **kwargs)
         assert vec.netlist.num_cells() == ref.netlist.num_cells()
         assert sorted((i.cell_name, tuple(sorted(i.pins.items())), i.output)
                       for i in vec.netlist.instances.values()) == \
@@ -222,33 +219,32 @@ class TestPlacementEquivalence:
     @pytest.mark.parametrize("rows", [16, 18])
     def test_place_netlist_bitwise(self, netlist, seed, rows):
         floorplan = Floorplan.from_rows(rows)
-        ref = place_netlist(netlist, CORELIB018, floorplan, seed=seed,
-                            engine="reference")
-        vec = place_netlist(netlist, CORELIB018, floorplan, seed=seed,
-                            engine="vector")
+        ref = on_oracles(place_netlist, netlist, CORELIB018, floorplan,
+                         seed=seed)
+        vec = place_netlist(netlist, CORELIB018, floorplan, seed=seed)
         assert ref.positions == vec.positions
         assert ref.pads == vec.pads
 
     def test_place_netlist_with_anneal(self, netlist):
         floorplan = Floorplan.from_rows(16)
-        ref = place_netlist(netlist, CORELIB018, floorplan,
-                            anneal_moves=800, engine="reference")
+        ref = on_oracles(place_netlist, netlist, CORELIB018, floorplan,
+                         anneal_moves=800)
         vec = place_netlist(netlist, CORELIB018, floorplan,
-                            anneal_moves=800, engine="vector")
+                            anneal_moves=800)
         assert ref.positions == vec.positions
 
     def test_place_base_network_bitwise(self):
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(16)
-        ref = place_base_network(base, floorplan, engine="reference")
-        vec = place_base_network(base, floorplan, engine="vector")
+        ref = on_oracles(place_base_network, base, floorplan)
+        vec = place_base_network(base, floorplan)
         assert ref.as_points() == vec.as_points()
 
     def test_timings_recorded(self, netlist):
         floorplan = Floorplan.from_rows(16)
         timings = {}
         place_netlist(netlist, CORELIB018, floorplan, anneal_moves=100,
-                      engine="vector", timings=timings)
+                      timings=timings)
         assert timings.keys() >= {"t_quadratic", "t_mincut", "t_legalize",
                                   "t_anneal"}
         assert all(t >= 0.0 for t in timings.values())
@@ -257,22 +253,21 @@ class TestPlacementEquivalence:
 class TestFlowEquivalence:
     K_VALUES = [0.0, 0.001, 0.01]
 
-    def _sweep(self, place_engine, workers=1):
+    def _sweep(self, workers=1):
         base = decompose(spla_like(0.02))
         floorplan = Floorplan.from_rows(18)
-        config = FlowConfig(library=CORELIB018, place_engine=place_engine,
-                            workers=workers)
+        config = FlowConfig(library=CORELIB018, workers=workers)
         points = k_sweep(base, floorplan, config, k_values=self.K_VALUES)
         return [(p.row(), p.hpwl, p.routed_wirelength) for p in points]
 
     def test_flow_engines_agree_serial(self):
-        assert self._sweep("vector") == self._sweep("reference")
+        assert self._sweep() == on_oracles(self._sweep)
 
     def test_flow_engines_agree_parallel(self):
-        """place_engine=vector, serial vs ``--workers 4`` fan-out."""
-        assert self._sweep("vector") == self._sweep("vector", workers=4)
+        """Serial vs ``--workers 4`` fan-out."""
+        assert self._sweep() == self._sweep(workers=4)
 
-    def test_flow_reference_parallel(self):
-        """place_engine=reference survives the process pool too."""
-        assert self._sweep("reference") == \
-            self._sweep("reference", workers=4)
+    def test_flow_reference_parallel(self, oracle_engines):
+        """The oracles survive the process pool too (forked workers
+        inherit the rebinding)."""
+        assert self._sweep() == self._sweep(workers=4)

@@ -1,9 +1,9 @@
-"""Vectorized engine vs per-edge reference engine equivalence.
+"""Vectorized router vs per-edge oracle equivalence.
 
 The vectorized router must be a pure speedup: on any net set it has to
 report the same violations, overflowed-net count and wirelength as the
-per-edge reference implementation of the identical algorithm — uncongested
-and congested designs alike.
+per-edge oracle of the identical algorithm (``tests/oracles/route.py``)
+— uncongested and congested designs alike.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.route import (
     victim_order,
 )
 from repro.route.steiner import gcell_signature
+from tests.oracles.route import route as oracle_route
 
 FLOORPLAN = Floorplan(width=104.0, row_height=5.2, num_rows=20)
 
@@ -36,12 +37,12 @@ def random_nets(seed, count, max_pins=5):
     return nets
 
 
-def routers(resources, seed=0, max_iterations=6):
-    vec = GlobalRouter(FLOORPLAN, resources, max_iterations=max_iterations,
-                       seed=seed, engine="vector")
-    ref = GlobalRouter(FLOORPLAN, resources, max_iterations=max_iterations,
-                       seed=seed, engine="reference")
-    return vec, ref
+def both(resources, nets, seed=0, max_iterations=6, cache=None):
+    """(router result, oracle result) for one net set."""
+    router = GlobalRouter(FLOORPLAN, resources,
+                          max_iterations=max_iterations, seed=seed)
+    return (router.route(nets, cache=cache),
+            oracle_route(router, nets, cache=cache))
 
 
 class TestEngineEquivalence:
@@ -49,11 +50,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("resources", [AMPLE, STARVED],
                              ids=["ample", "starved"])
     def test_random_net_sets_agree(self, seed, resources):
-        """Property: both engines agree on every routing verdict."""
+        """Property: router and oracle agree on every routing verdict."""
         nets = random_nets(seed, count=60 + 20 * seed)
-        vec, ref = routers(resources, seed=seed)
-        a = vec.route(nets)
-        b = ref.route(nets)
+        a, b = both(resources, nets, seed=seed)
         assert a.violations == b.violations
         assert a.overflowed_nets == b.overflowed_nets
         assert a.iterations == b.iterations
@@ -69,32 +68,19 @@ class TestEngineEquivalence:
             "straight": [(5.0, 50.0), (100.0, 50.0)],
             "fanout": [(5.0, 5.0), (90.0, 10.0), (50.0, 95.0), (10.0, 60.0)],
         }
-        vec, ref = routers(AMPLE)
-        a, b = vec.route(nets), ref.route(nets)
+        a, b = both(AMPLE, nets)
         assert a.violations == b.violations == 0
         assert a.total_wirelength == b.total_wirelength
         assert a.routes["same_gcell"].edges == []
         assert a.routes["single_pin"].edges == []
 
     def test_demand_books_match_routes(self):
-        """Both engines keep demand == committed edges (incremental
+        """Router and oracle keep demand == committed edges (incremental
         rip-up must never leak or double-count demand)."""
         nets = random_nets(3, count=120)
-        for router in routers(STARVED, seed=3):
-            result = router.route(nets)
+        for result in both(STARVED, nets, seed=3):
             total_edges = sum(len(r.edges) for r in result.routes.values())
             assert total_edges == int(result.grid.demand_flat.sum())
-
-    def test_engine_name_recorded(self):
-        nets = random_nets(0, count=10)
-        vec, ref = routers(AMPLE)
-        assert vec.route(nets).engine == "vector"
-        assert ref.route(nets).engine == "reference"
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import RoutingError
-        with pytest.raises(RoutingError):
-            GlobalRouter(FLOORPLAN, engine="quantum")
 
 
 class TestRouterStats:
@@ -148,8 +134,7 @@ class TestVictimOrdering:
     def test_engines_share_seeded_order(self):
         nets = random_nets(5, count=90)
         for seed in (0, 9):
-            vec, ref = routers(STARVED, seed=seed)
-            a, b = vec.route(nets), ref.route(nets)
+            a, b = both(STARVED, nets, seed=seed)
             assert a.violations == b.violations
             assert a.total_wirelength == b.total_wirelength
 
@@ -191,9 +176,9 @@ class TestRouteCache:
     def test_reference_engine_reuses_too(self):
         nets = random_nets(9, count=30)
         cache = RouteCache()
-        vec, ref = routers(AMPLE)
-        cache.store(vec.route(nets, cache=cache))
-        result = ref.route(nets, cache=cache)
+        router = GlobalRouter(FLOORPLAN, AMPLE, max_iterations=6)
+        cache.store(router.route(nets, cache=cache))
+        result = oracle_route(router, nets, cache=cache)
         assert result.stats["routes_reused"] == len(nets)
         assert result.violations == 0
 
@@ -296,29 +281,3 @@ class TestRouteCache:
         signatures = {gcell_signature([grid.gcell_of(p) for p in pins])
                       for pins in kept.values()}
         assert set(cache.routes) == signatures
-
-
-class TestAutoEngine:
-    """--route-engine auto: pick by design size, identical results."""
-
-    def test_auto_matches_both_engines(self):
-        for count in (20, 100):            # straddles AUTO_NET_THRESHOLD
-            nets = random_nets(13, count=count)
-            auto = GlobalRouter(FLOORPLAN, AMPLE, max_iterations=6,
-                                engine="auto")
-            vec, ref = routers(AMPLE)
-            a, v, r = auto.route(nets), vec.route(nets), ref.route(nets)
-            for other in (v, r):
-                assert a.violations == other.violations
-                assert a.total_wirelength == other.total_wirelength
-                assert a.iterations == other.iterations
-
-    def test_auto_is_the_default_flow_engine(self):
-        from repro.core.flow import FlowConfig
-        from repro.library import CORELIB018
-        assert FlowConfig(library=CORELIB018).route_engine == "auto"
-
-    def test_unknown_engine_rejected(self):
-        from repro.errors import RoutingError
-        with pytest.raises(RoutingError):
-            GlobalRouter(FLOORPLAN, engine="turbo")

@@ -25,14 +25,22 @@ class TestParserInheritance:
     def test_shared_flags_accepted(self, command, extra):
         args = build_parser().parse_args(
             [command] + extra + ["--rows", "9", "--workers", "3",
-                                 "--route-engine", "vector",
-                                 "--place-engine", "reference",
                                  "--no-route-reuse"])
         assert args.rows == 9
         assert args.workers == 3
-        assert args.route_engine == "vector"
-        assert args.place_engine == "reference"
         assert args.no_route_reuse is True
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "spla@0.01", "--route-engine", "vector"],
+        ["ksweep", "spla@0.01", "--place-engine", "vector"],
+        ["sta", "spla@0.01", "--route-engine", "vector"],
+        ["serve", "--cache-dir", "d", "jobs.jsonl"],
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])

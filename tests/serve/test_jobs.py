@@ -27,6 +27,9 @@ class TestParseJob:
     def test_unknown_field_rejected(self):
         with pytest.raises(JobError, match="unknown fields"):
             parse_job({"cmd": "flow", "source": "s", "roes": 5})
+        with pytest.raises(JobError, match="strategy must be one of"):
+            parse_job({"cmd": "ksearch", "source": "s",
+                       "strategy": "bisekt"})
 
     def test_bad_cmd(self):
         with pytest.raises(JobError, match="cmd must be one of"):
