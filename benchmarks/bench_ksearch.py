@@ -10,9 +10,8 @@ the calibrated marginal dies and asserts the ISSUE 7 acceptance:
 * the adaptive strategies (bisect, portfolio) need at most half the
   grid's evaluations on the Table 2/4 dies (full mode),
 * every evaluated point reports a row bit-identical to the other
-  strategies' evaluation of the same K (warm start ≡ cold start, shards
-  and all), and a sharded parallel warm sweep matches the serial warm
-  sweep row for row.
+  strategies' evaluation of the same K, and a parallel sweep matches
+  the serial sweep row for row.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``) runs the small CI die only
 (spla@0.06 on 20 rows, the figure-3 CLI calibration die) and skips the
@@ -46,7 +45,7 @@ WORKERS = 4
 #: this fraction of the grid (ISSUE 7 tentpole criterion).
 EVAL_BUDGET = 0.5
 
-#: The serial-vs-sharded identity check sweeps these K values twice.
+#: The serial-vs-parallel identity check sweeps these K values twice.
 IDENTITY_K = [0.0, 0.001, 0.01]
 
 _cache = {}
@@ -98,26 +97,24 @@ def run_ksearch():
                 assert tables[s][k] == tables[GRID][k], \
                     f"{setup.name}: {s} row at K={k} differs from grid's"
 
-    # Sharded parallel warm sweep ≡ serial warm sweep, row for row.
+    # Parallel sweep ≡ serial sweep, row for row.
     setup = _setups()[0]
     serial = k_sweep(setup.base, setup.floorplan, setup.config,
                      k_values=IDENTITY_K, positions=setup.positions,
                      workers=1)
-    sharded = k_sweep(setup.base, setup.floorplan, setup.config,
-                      k_values=IDENTITY_K, positions=setup.positions,
-                      workers=2)
+    parallel = k_sweep(setup.base, setup.floorplan, setup.config,
+                       k_values=IDENTITY_K, positions=setup.positions,
+                       workers=2)
     identity = {
         "circuit": setup.name,
         "k_values": IDENTITY_K,
         "workers": 2,
         "serial_rows": [p.row() for p in serial],
-        "sharded_rows": [p.row() for p in sharded],
-        "matches": [p.row() for p in serial] == [p.row() for p in sharded],
-        "sharded_routes_reused": sum(
-            int(p.stats.get("route.routes_reused", 0)) for p in sharded),
+        "parallel_rows": [p.row() for p in parallel],
+        "matches": [p.row() for p in serial] == [p.row() for p in parallel],
     }
     assert identity["matches"], \
-        "sharded parallel sweep rows differ from the serial warm sweep"
+        "parallel sweep rows differ from the serial sweep"
 
     _cache["rows"] = rows
     _cache["identity"] = identity

@@ -147,8 +147,6 @@ def run_sweep_modes(config):
         "parallel_rows": [p.row() for p in parallel],
         "cache_hits": sum(p.stats["match_cache_hits"] for p in serial),
         "cache_misses": sum(p.stats["match_cache_misses"] for p in serial),
-        "routes_reused": sum(p.stats.get("routes_reused", 0)
-                             for p in serial),
         "segments_rerouted": sum(p.stats.get("segments_rerouted", 0)
                                  for p in serial),
         "t_route_serial": sum(p.stats.get("route.t_init", 0.0) +
@@ -179,8 +177,8 @@ def test_sweep_execution_layer(benchmark, config):
         title=f"K-sweep execution layer ({len(SWEEP_K)} K points, "
               f"{cpus} CPU(s) available; match cache "
               f"{r['cache_hits']:.0f} hits / {r['cache_misses']:.0f} misses; "
-              f"router {r['routes_reused']:.0f} routes warm-started, "
-              f"{r['segments_rerouted']:.0f} segments renegotiated, "
+              f"router {r['segments_rerouted']:.0f} segments "
+              f"renegotiated, "
               f"{r['t_route_serial']:.2f}s in routing)")
     publish("sweep_execution", table)
 

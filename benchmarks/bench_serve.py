@@ -360,8 +360,8 @@ def test_serve_throughput(benchmark, tmp_path):
                f"({'smoke' if SMOKE else 'full'} mode, "
                f"{len(TEMPLATES)} job templates, rows byte-identical; "
                f"cache hits: netlist {rates['netlist']:.0%}, layout "
-               f"{rates['layout']:.0%}, route pool "
-               f"{rates['route_pool']:.0%})"))
+               f"{rates['layout']:.0%}, matcher "
+               f"{rates['matcher']:.0%})"))
     publish("serve_throughput", table)
     _write_payload()
 

@@ -29,7 +29,7 @@ and exits non-zero on regression,
 ``sta``     — map, place, route and time a circuit; print the critical path.
 
 ``flow``, ``ksweep``, ``ksearch`` and ``serve`` share one execution-flag
-block (``--rows/--workers/--no-route-reuse``) and the observability
+block (``--rows/--workers``) and the observability
 flags: ``--trace FILE`` writes the run's span tree as JSON lines,
 ``--profile`` prints a per-phase time/counter breakdown after the run,
 and ``--artifacts DIR`` dumps one congestion heatmap (CSV + ASCII) per
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -193,17 +194,13 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
     config = _flow_config(args)
     floorplan = Floorplan.from_rows(args.rows) if args.rows else \
         Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
-    k_values = [float(k) for k in args.k.split(",")] if args.k \
-        else list(PAPER_K_VALUES)
     tracer = _make_tracer(args, "ksweep")
-    points = k_sweep(base, floorplan, config, k_values=k_values,
+    points = k_sweep(base, floorplan, config, k_values=args.k,
                      progress=lambda msg: print(msg, file=sys.stderr),
                      tracer=tracer)
-    reused = sum(int(p.stats.get("route.routes_reused", 0)) for p in points)
     rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
                    for p in points)
-    print(f"router: routes_reused={reused} segments_rerouted={rerouted}",
-          file=sys.stderr)
+    print(f"router: segments_rerouted={rerouted}", file=sys.stderr)
     print(k_sweep_table(points, title=f"{network.name} K sweep "
                                       f"(die {floorplan.area:.0f} um2, "
                                       f"{floorplan.num_rows} rows)"))
@@ -217,10 +214,8 @@ def _cmd_ksearch(args: argparse.Namespace) -> int:
     config = _flow_config(args)
     floorplan = Floorplan.from_rows(args.rows) if args.rows else \
         Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
-    k_values = [float(k) for k in args.k.split(",")] if args.k \
-        else list(PAPER_K_VALUES)
     tracer = _make_tracer(args, "ksearch")
-    result = k_search(base, floorplan, config, k_values=k_values,
+    result = k_search(base, floorplan, config, k_values=args.k,
                       strategy=args.k_search, tolerance=args.tolerance,
                       progress=lambda msg: print(msg, file=sys.stderr),
                       tracer=tracer)
@@ -308,7 +303,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{summary['jobs_per_sec']:.2f} jobs/s "
           f"(cache hits: netlist {rates['netlist']:.0%}, "
           f"layout {rates['layout']:.0%}, "
-          f"route pool {rates['route_pool']:.0%})", file=sys.stderr)
+          f"matcher {rates['matcher']:.0%})", file=sys.stderr)
     return 0 if summary["ok"] == summary["jobs"] else 1
 
 
@@ -371,9 +366,9 @@ def _flow_parent() -> argparse.ArgumentParser:
     """The execution flags every flow-running subcommand shares.
 
     One parent parser instead of a per-subcommand copy: ``flow``,
-    ``ksweep``, ``ksearch`` and ``serve`` all inherit
-    ``--rows/--workers/--no-route-reuse`` from here, so a new flag (or
-    help-text fix) lands everywhere at once.
+    ``ksweep``, ``ksearch`` and ``serve`` all inherit ``--rows/--workers``
+    from here, so a new flag (or help-text fix) lands everywhere at
+    once.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--rows", type=int, default=0,
@@ -381,15 +376,30 @@ def _flow_parent() -> argparse.ArgumentParser:
     parent.add_argument("--workers", type=int, default=1,
                         help="process fan-out for parallel stages "
                              "(results are identical to --workers 1)")
-    parent.add_argument("--no-route-reuse", action="store_true",
-                        help="disable cross-K route warm-starting")
     return parent
 
 
 def _flow_config(args: argparse.Namespace) -> FlowConfig:
     """The :class:`FlowConfig` the shared execution flags describe."""
-    return FlowConfig(library=CORELIB018, workers=args.workers,
-                      route_reuse=not args.no_route_reuse)
+    return FlowConfig(library=CORELIB018, workers=args.workers)
+
+
+def _k_value(text: str) -> float:
+    """Argparse type of one congestion factor: a finite K >= 0."""
+    try:
+        k = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"K must be a number, got {text!r}") from None
+    if not math.isfinite(k) or k < 0:
+        raise argparse.ArgumentTypeError(
+            f"K must be finite and non-negative, got {text!r}")
+    return k
+
+
+def _k_list(text: str) -> List[float]:
+    """Argparse type of a comma-separated K list (see :func:`_k_value`)."""
+    return [_k_value(item.strip()) for item in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="technology mapping")
     p_map.add_argument("source")
     p_map.add_argument("-o", "--output")
-    p_map.add_argument("--k", type=float, default=0.0,
+    p_map.add_argument("--k", type=_k_value, default=0.0,
                        help="congestion minimization factor K")
     p_map.add_argument("--partition", default="dagon",
                        choices=["dagon", "cone", "placement"])
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[flow_parent],
                              help="Table 2/4-style K sweep")
     p_sweep.add_argument("source")
-    p_sweep.add_argument("--k", default="",
+    p_sweep.add_argument("--k", type=_k_list, default=PAPER_K_VALUES,
                          help="comma-separated K list (default: paper's)")
     _add_obs_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_ksweep)
@@ -447,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "grid is the exhaustive reference)")
     p_search.add_argument("--tolerance", type=int, default=0,
                           help="violations still considered routable")
-    p_search.add_argument("--k", default="",
+    p_search.add_argument("--k", type=_k_list, default=PAPER_K_VALUES,
                           help="comma-separated K grid (default: paper's)")
     _add_obs_flags(p_search)
     p_search.set_defaults(func=_cmd_ksearch)
@@ -532,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta = sub.add_parser("sta", help="map + place + route + timing report")
     p_sta.add_argument("source")
     p_sta.add_argument("--rows", type=int, default=0)
-    p_sta.add_argument("--k", type=float, default=0.0)
+    p_sta.add_argument("--k", type=_k_value, default=0.0)
     p_sta.add_argument("--paths", type=int, default=5,
                        help="how many worst endpoints to list")
     p_sta.set_defaults(func=_cmd_sta)

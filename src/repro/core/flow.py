@@ -33,7 +33,7 @@ from ..network.netlist import MappedNetlist
 from ..place.floorplan import Floorplan
 from ..place.placer import Placement, place_base_network, place_netlist
 from ..route.grid import RoutingResources
-from ..route.router import GlobalRouter, RouteCache, RoutingResult
+from ..route.router import GlobalRouter, RoutingResult
 from ..synth.optimize import optimize
 from ..timing.sta import StaticTimingAnalyzer, TimingReport
 from .mapper import MappingResult, map_network
@@ -55,15 +55,6 @@ class FlowConfig:
     ``workers`` is the default process fan-out for the parallel stages
     (K points of a sweep, placement attempts of an evaluation); 1 keeps
     everything serial.  Parallel runs are bit-identical to serial ones.
-
-    ``route_reuse`` enables cross-K route warm-starting in the serial
-    sweep loops: nets whose pin GCell signature is unchanged between
-    adjacent K netlists start from the previous K's final route.
-    ``cover_memo`` enables the per-matcher covering memo: trees whose
-    DP inputs (member positions, boundary values, objective) are
-    unchanged — or bracketed by two K points that picked the same
-    assignment — reuse the previous cover instead of re-running the
-    DP.  Memo hits are pure speedups; the chosen covers are identical.
     """
 
     library: CellLibrary
@@ -71,12 +62,9 @@ class FlowConfig:
     partition_style: str = PLACEMENT
     gcell_rows: int = 2
     max_route_iterations: int = 25
-    use_seed_positions: bool = False
     seed: int = 0
     place_attempts: int = 1
     workers: int = 1
-    route_reuse: bool = True
-    cover_memo: bool = True
 
 
 @dataclass
@@ -116,28 +104,21 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
     Placement *and* routing seeds advance with the attempt index, so
     retries explore both RNG streams instead of re-rolling only the
     placer against a frozen router (the router seed drives the
-    negotiation's victim ordering).  ``route_cache`` is read-only here:
-    every attempt warm-starts from the same cache snapshot, which keeps
-    parallel attempt fan-outs bit-identical to serial ones.
+    negotiation's victim ordering).
     """
-    netlist, floorplan, config, seed_positions, k, area, route_cache = payload
+    netlist, floorplan, config, k, area = payload
     seed = derive_seed(config.seed, attempt)
     tracer = Tracer("attempt", attempt=attempt)
     place_timings: Dict[str, float] = {}
     with tracer.span("place") as sp_place:
-        placement = place_netlist(
-            netlist, config.library, floorplan,
-            seed_positions=(seed_positions if config.use_seed_positions
-                            else None),
-            seed=seed, timings=place_timings)
+        placement = place_netlist(netlist, config.library, floorplan,
+                                  seed=seed, timings=place_timings)
     router = GlobalRouter(floorplan, config.resources,
                           gcell_rows=config.gcell_rows,
                           max_iterations=config.max_route_iterations,
                           seed=seed)
     with tracer.span("route") as sp_route:
-        points = placement.net_points(netlist)
-        routing = (router.route(points, cache=route_cache)
-                   if route_cache is not None else router.route(points))
+        routing = router.route(placement.net_points(netlist))
     sp_route.counters.absorb(routing.stats)
     stats = StatsRegistry()
     stats.time("eval.t_place", sp_place.duration)
@@ -177,11 +158,8 @@ def _select_best(points: Sequence[EvalPoint]) -> EvalPoint:
 
 
 def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
-                     config: FlowConfig,
-                     seed_positions: Optional[Dict[str, Tuple[float, float]]]
-                     = None, k: float = 0.0,
-                     workers: Optional[int] = None,
-                     route_cache: Optional[RouteCache] = None) -> EvalPoint:
+                     config: FlowConfig, k: float = 0.0,
+                     workers: Optional[int] = None) -> EvalPoint:
     """Place + globally route one netlist; summarise like a table row.
 
     Up to ``config.place_attempts`` placement seeds are tried and the
@@ -190,10 +168,6 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     declaring a netlist unroutable.  With ``workers > 1`` (defaulting
     to ``config.workers``) the attempts fan out over a process pool;
     the selected point is identical to the serial path's.
-
-    ``route_cache`` warm-starts unchanged nets from a previous
-    evaluation's routes; all attempts read the same cache snapshot and
-    the cache is refreshed once from the selected point's routes.
 
     The returned point's :attr:`EvalPoint.trace` is an ``evaluate``
     span wrapping the *selected* attempt's span — only the chosen
@@ -204,8 +178,7 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     area = netlist.total_area(config.library)
     attempts = max(1, config.place_attempts)
     nworkers = max(1, config.workers if workers is None else workers)
-    payload = (netlist, floorplan, config, seed_positions, k, area,
-               route_cache)
+    payload = (netlist, floorplan, config, k, area)
     if attempts > 1 and nworkers > 1:
         exec_stats = StatsRegistry()
         points = fan_out(_placement_attempt, payload, range(attempts),
@@ -223,15 +196,6 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
             if best.violations == 0:
                 break
         assert best is not None
-    # Only clean routings refresh the cache.  Warm-starting the next K
-    # point's negotiation from a *congested* snapshot poisons it — the
-    # router inherits overflow history it cannot unwind and lands on
-    # strictly worse solutions than a cold start (the figure3
-    # non-convergence regression).  A failed point therefore leaves the
-    # last known-good routes in place.
-    if route_cache is not None and best.routing is not None \
-            and best.routing.violations == 0:
-        route_cache.store(best.routing)
     tracer.adopt(best.trace)
     best.trace = tracer.close()
     best.stats.time("eval.t_total", best.trace.duration)
@@ -241,15 +205,12 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
 def run_k_point(base: BaseNetwork, positions: PositionMap,
                 floorplan: Floorplan, config: FlowConfig,
                 k: float, partition: Optional[Partition] = None,
-                matcher: Optional[Matcher] = None,
-                route_cache: Optional[RouteCache] = None) -> EvalPoint:
+                matcher: Optional[Matcher] = None) -> EvalPoint:
     """Map the (already placed) base network at one K and evaluate it.
 
     ``partition`` and ``matcher`` are the K-independent products of the
     base network and its placement; sweeps compute them once and pass
-    them to every K point (see :func:`k_sweep`).  ``route_cache``
-    carries routes between K points: nets whose pin GCell signature is
-    unchanged warm-start from the previous K's final route.
+    them to every K point (see :func:`k_sweep`).
     """
     objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
@@ -257,12 +218,9 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
         mapping = map_network(base, config.library, objective,
                               partition_style=config.partition_style,
                               positions=positions,
-                              partition=partition, matcher=matcher,
-                              cover_memo=config.cover_memo)
+                              partition=partition, matcher=matcher)
     sp_map.counters.absorb(mapping.stats)
-    point = evaluate_netlist(mapping.netlist, floorplan, config,
-                             seed_positions=mapping.instance_positions, k=k,
-                             route_cache=route_cache)
+    point = evaluate_netlist(mapping.netlist, floorplan, config, k=k)
     point.mapping = mapping
     point.stats.time("map.t_total", sp_map.duration)
     point.stats.absorb(mapping.stats)
@@ -278,85 +236,36 @@ _sweep_matcher: Optional[Tuple[Any, Matcher]] = None
 
 
 def _k_point_task(payload: Tuple[Any, ...], k: float) -> EvalPoint:
-    """One K point of a sweep round (a fan-out task).
-
-    The payload's last slot is an optional :class:`RouteCache`
-    snapshot; each task clones it into a private shard, so every K
-    point of a round warm-starts from the same opening snapshot no
-    matter which worker runs it (or whether the round fell back to the
-    serial loop) — the property that keeps sharded rounds bit-identical
-    across execution plans.
-    """
+    """One K point of a sweep round (a fan-out task)."""
     global _sweep_matcher
-    base, positions, floorplan, config, part, snapshot = payload
+    base, positions, floorplan, config, part = payload
     if _sweep_matcher is None or _sweep_matcher[0] is not payload:
         _sweep_matcher = (payload, Matcher(base, config.library))
-    matcher = _sweep_matcher[1]
-    shard = snapshot.clone() if snapshot is not None else None
     return run_k_point(base, positions, floorplan, config, k,
-                       partition=part, matcher=matcher, route_cache=shard)
+                       partition=part, matcher=_sweep_matcher[1])
 
 
 def evaluate_k_round(base: BaseNetwork, positions: PositionMap,
                      floorplan: Floorplan, config: FlowConfig,
                      ks: Sequence[float], part: Partition,
                      workers: int = 1,
-                     route_cache: Optional[RouteCache] = None,
                      stats: Optional[StatsRegistry] = None,
                      tracer: Optional[Tracer] = None) -> List[EvalPoint]:
     """Evaluate one *round* of K points over the process pool.
 
-    Every task receives the same opening snapshot of ``route_cache``
-    (or no cache) and clones it into a private shard; the caller merges
-    the round's results back with :func:`merge_round_routes`.  Results
-    come back in ``ks`` order.  This is the parallel-safe unit both
-    :func:`k_sweep` and :func:`repro.core.ksearch.k_search` build on.
+    Results come back in ``ks`` order.  This is the parallel-safe unit
+    both :func:`k_sweep` and :func:`repro.core.ksearch.k_search` build
+    on.
     """
-    snapshot = (route_cache
-                if route_cache is not None and route_cache.routes else None)
-    payload = (base, positions, floorplan, config, part, snapshot)
+    payload = (base, positions, floorplan, config, part)
     return fan_out(_k_point_task, payload, list(ks), workers=workers,
                    stats=stats, tracer=tracer)
-
-
-def merge_round_routes(cache: RouteCache, points: Sequence[EvalPoint],
-                       prefer_low_k: bool = False) -> None:
-    """Deterministically merge a round's shards back into the cache.
-
-    Shards only ever *store* the zero-violation routing of their own K
-    point, so merging reduces to picking one clean round member as the
-    next snapshot: the highest-K clean point by default — exactly the
-    state a serial ascending sweep would have left behind — or the
-    lowest-K one (``prefer_low_k``), which is what a minimum-K search
-    wants its next, smaller probes to warm-start from.  The pick
-    depends only on the round's results, never on worker scheduling.
-    """
-    clean = [p for p in points
-             if p.routing is not None and p.routing.violations == 0]
-    if clean:
-        pick = (min if prefer_low_k else max)(clean, key=lambda p: p.k)
-        cache.store(pick.routing)
 
 
 def _progress_line(point: EvalPoint) -> str:
     return (f"K={point.k:g}: area={point.cell_area:.0f} "
             f"cells={point.num_cells} util={point.utilization:.1f}% "
             f"violations={point.violations}")
-
-
-def _resolve_caches(config: FlowConfig, route_cache: Optional[RouteCache]
-                    ) -> Optional[RouteCache]:
-    """The warm-start cache a sweep loop should thread through its
-    K points: the injected one (a session-scoped pool entry from e.g.
-    ``repro serve``), a fresh one, or ``None`` with reuse disabled.
-
-    Warm starts are pure speedups — a warm-started point reports the
-    same row as a cold one — so injecting a pre-warmed cache never
-    changes results, only wall time.
-    """
-    if not config.route_reuse:
-        return None
-    return route_cache if route_cache is not None else RouteCache()
 
 
 def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
@@ -366,8 +275,7 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
             workers: Optional[int] = None,
             tracer: Optional[Tracer] = None,
             partition: Optional[Partition] = None,
-            matcher: Optional[Matcher] = None,
-            route_cache: Optional[RouteCache] = None) -> List[EvalPoint]:
+            matcher: Optional[Matcher] = None) -> List[EvalPoint]:
     """The Table 2/4 experiment: one mapping + evaluation per K.
 
     The technology-independent placement is computed once and re-used
@@ -378,33 +286,17 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     the per-K loop.
 
     ``workers`` (defaulting to ``config.workers``) fans the K points
-    out over a process pool; the returned points are bit-identical to
+    out over one process pool; the returned points are bit-identical to
     the serial path's (same ``EvalPoint.row()`` tuples, same order).
-
-    With ``config.route_reuse`` on, both paths thread a
-    :class:`RouteCache` through the K points: nets whose pin GCell
-    signature is unchanged between K netlists warm-start from a
-    previous K's final route, so the sweep stops paying full routing
-    cost at every K.  The serial path carries the cache point to
-    point; the parallel path runs the sweep in rounds of ``workers``
-    K points, where every task of a round clones the last
-    zero-violation snapshot into a private shard and the round's clean
-    results are merged back deterministically
-    (:func:`merge_round_routes`).  Warm starts are pure speedups —
-    a warm-started point reports the same row as a cold one — so the
-    sharded rounds stay bit-identical to the serial warm sweep.  With
-    ``route_reuse`` off, the parallel path keeps the single fan-out
-    (one pool, contiguous chunks).
 
     ``tracer``, when given, receives one ``sweep`` span whose children
     are the K points' subtrees, adopted in K order on both execution
     paths.
 
-    ``partition`` / ``matcher`` / ``route_cache`` inject session-scoped
-    caches (see :mod:`repro.serve`): the K-independent partition, a
-    shared matcher (match memo + cover memo; serial path only — pool
-    workers build their own) and a warm-start route cache carried
-    across calls.  All three are pure speedups; the returned rows are
+    ``partition`` / ``matcher`` inject session-scoped caches (see
+    :mod:`repro.serve`): the K-independent partition and a shared
+    matcher (match memo + cover memo; serial path only — pool workers
+    build their own).  Both are pure speedups; the returned rows are
     identical to an uninjected sweep's.
     """
     if positions is None:
@@ -417,39 +309,25 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
                if tracer is not None else contextlib.nullcontext())
     with span_cm as sweep_span:
         if nworkers > 1 and len(k_list) > 1:
-            route_cache = _resolve_caches(config, route_cache)
-            groups = ([k_list] if route_cache is None else
-                      [k_list[i:i + nworkers]
-                       for i in range(0, len(k_list), nworkers)])
             exec_stats = StatsRegistry()
-            points: List[EvalPoint] = []
-            for group in groups:
-                round_stats = StatsRegistry()
-                round_points = evaluate_k_round(
-                    base, positions, floorplan, config, group, part,
-                    workers=nworkers, route_cache=route_cache,
-                    stats=round_stats, tracer=tracer)
-                if route_cache is not None:
-                    merge_round_routes(route_cache, round_points)
-                exec_stats.merge(round_stats)
-                for point in round_points:
-                    point.stats.merge(round_stats)
-                    if tracer is not None:
-                        tracer.adopt(point.trace)
-                    if progress is not None:
-                        progress(_progress_line(point))
-                points.extend(round_points)
+            points = evaluate_k_round(
+                base, positions, floorplan, config, k_list, part,
+                workers=nworkers, stats=exec_stats, tracer=tracer)
+            for point in points:
+                point.stats.merge(exec_stats)
+                if tracer is not None:
+                    tracer.adopt(point.trace)
+                if progress is not None:
+                    progress(_progress_line(point))
             if sweep_span is not None:
                 sweep_span.counters.merge(exec_stats)
             return points
         if matcher is None:
             matcher = Matcher(base, config.library)
-        route_cache = _resolve_caches(config, route_cache)
-        points: List[EvalPoint] = []
+        points = []
         for k in k_list:
             point = run_k_point(base, positions, floorplan, config, k,
-                                partition=part, matcher=matcher,
-                                route_cache=route_cache)
+                                partition=part, matcher=matcher)
             points.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)
@@ -491,8 +369,7 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
                           tolerance: int = 0,
                           tracer: Optional[Tracer] = None,
                           partition: Optional[Partition] = None,
-                          matcher: Optional[Matcher] = None,
-                          route_cache: Optional[RouteCache] = None
+                          matcher: Optional[Matcher] = None
                           ) -> FlowResult:
     """The modified ASIC design flow of Figure 3.
 
@@ -506,22 +383,20 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
     ``tracer``, when given, receives one ``flow`` span whose children
     are the evaluated K points' subtrees in schedule order.
 
-    ``partition`` / ``matcher`` / ``route_cache``, when given, inject
-    session-scoped caches the same way :func:`k_sweep` accepts them —
-    pure speedups, identical results.
+    ``partition`` / ``matcher``, when given, inject session-scoped
+    caches the same way :func:`k_sweep` accepts them — pure speedups,
+    identical results.
     """
     if positions is None:
         positions = place_base_network(base, floorplan, seed=config.seed)
     # The loop is inherently sequential (each K's verdict gates the
     # next), but the K-independent work — partition and match
-    # enumeration — is still hoisted out of it, and routes of unchanged
-    # nets are carried between K points via the route cache.
+    # enumeration — is still hoisted out of it.
     if partition is None:
         partition = make_partition(base, config.partition_style,
                                    positions=positions)
     if matcher is None:
         matcher = Matcher(base, config.library)
-    route_cache = _resolve_caches(config, route_cache)
     span_cm = (tracer.span("flow", tolerance=tolerance)
                if tracer is not None else contextlib.nullcontext())
     with span_cm as flow_span:
@@ -530,8 +405,7 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
         verdict = FLOW_SCHEDULE_EXHAUSTED
         for k in k_schedule:
             point = run_k_point(base, positions, floorplan, config, k,
-                                partition=partition, matcher=matcher,
-                                route_cache=route_cache)
+                                partition=partition, matcher=matcher)
             history.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)
@@ -559,7 +433,6 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
 
 def find_routable_die(netlist: MappedNetlist, start_rows: int,
                       config: FlowConfig,
-                      seed_positions: Optional[Dict] = None,
                       max_extra_rows: int = 12, aspect: float = 1.0,
                       row_height: Optional[float] = None,
                       tolerance: int = 0) -> Tuple[Floorplan, EvalPoint]:
@@ -576,8 +449,7 @@ def find_routable_die(netlist: MappedNetlist, start_rows: int,
     for rows in range(start_rows, start_rows + max_extra_rows + 1):
         floorplan = Floorplan.from_rows(rows, row_height=rh, aspect=aspect)
         try:
-            point = evaluate_netlist(netlist, floorplan, config,
-                                     seed_positions=seed_positions)
+            point = evaluate_netlist(netlist, floorplan, config)
         except PlacementError as exc:
             last_error = str(exc)
             continue

@@ -35,13 +35,8 @@ structure admits a bracketing search.
 
 All three return the same chosen K; the adaptive strategies just
 evaluate fewer points (the acceptance dies of Tables 2/4 close in ≤50%
-of the grid).  Warm-start reuse composes with every strategy: serial
-strategies thread one :class:`~repro.route.router.RouteCache` through
-the probes, parallel rounds shard it per task and merge clean results
-back with ``prefer_low_k=True`` — the next, smaller probes of a
-minimum-K search warm-start from the lowest clean K seen, and since
-warm starts are pure speedups the evaluated rows match the exhaustive
-sweep's bit for bit.
+of the grid).  Every probe is evaluated exactly as the exhaustive sweep
+evaluates that K, so the evaluated rows match the sweep's bit for bit.
 """
 
 from __future__ import annotations
@@ -54,15 +49,12 @@ from ..network.dag import BaseNetwork
 from ..obs import StatsRegistry, Tracer
 from ..place.floorplan import Floorplan
 from ..place.placer import place_base_network
-from ..route.router import RouteCache
 from .flow import (
     EvalPoint,
     FlowConfig,
     PAPER_K_VALUES,
     _progress_line,
-    _resolve_caches,
     evaluate_k_round,
-    merge_round_routes,
     run_k_point,
 )
 from .matching import Matcher
@@ -121,15 +113,13 @@ class KSearchResult:
 
 
 class _Evaluator:
-    """Grid-point evaluation with memoisation, reuse and bookkeeping.
+    """Grid-point evaluation with memoisation and bookkeeping.
 
     Strategies talk indices; the evaluator owns the mapping to K
-    values, the shared matcher, the route cache, and the per-point
-    tracing/progress plumbing.  ``evaluate`` is the serial path (one
-    matcher, one threaded cache — exactly :func:`~repro.core.flow.k_sweep`'s
-    serial loop); ``evaluate_round`` is the parallel-safe unit (shards
-    cloned from the last clean snapshot, merged back preferring the
-    lowest clean K so subsequent smaller probes warm-start).
+    values, the shared matcher, and the per-point tracing/progress
+    plumbing.  ``evaluate`` is the serial path (one shared matcher —
+    exactly :func:`~repro.core.flow.k_sweep`'s serial loop);
+    ``evaluate_round`` is the parallel-safe unit.
     """
 
     def __init__(self, base: BaseNetwork, positions: PositionMap,
@@ -138,8 +128,7 @@ class _Evaluator:
                  tolerance: int, workers: int,
                  tracer: Optional[Tracer],
                  progress: Optional[Callable[[str], None]],
-                 matcher: Optional[Matcher] = None,
-                 route_cache: Optional[RouteCache] = None):
+                 matcher: Optional[Matcher] = None):
         self.base = base
         self.positions = positions
         self.floorplan = floorplan
@@ -154,7 +143,6 @@ class _Evaluator:
         self.order: List[int] = []
         self.rounds = 0
         self.exec_stats = StatsRegistry()
-        self.cache = _resolve_caches(config, route_cache)
         self._matcher = matcher if matcher is not None \
             else Matcher(base, config.library)
 
@@ -174,7 +162,7 @@ class _Evaluator:
             return self.points[i]
         point = run_k_point(self.base, self.positions, self.floorplan,
                             self.config, self.grid[i], partition=self.part,
-                            matcher=self._matcher, route_cache=self.cache)
+                            matcher=self._matcher)
         self._record(i, point)
         return point
 
@@ -190,10 +178,7 @@ class _Evaluator:
         round_points = evaluate_k_round(
             self.base, self.positions, self.floorplan, self.config,
             [self.grid[i] for i in todo], self.part,
-            workers=self.workers, route_cache=self.cache,
-            stats=round_stats, tracer=self.tracer)
-        if self.cache is not None:
-            merge_round_routes(self.cache, round_points, prefer_low_k=True)
+            workers=self.workers, stats=round_stats, tracer=self.tracer)
         self.exec_stats.merge(round_stats)
         for i, point in zip(todo, round_points):
             point.stats.merge(round_stats)
@@ -343,8 +328,7 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
              progress: Optional[Callable[[str], None]] = None,
              tracer: Optional[Tracer] = None,
              partition: Optional[Partition] = None,
-             matcher: Optional[Matcher] = None,
-             route_cache: Optional[RouteCache] = None) -> KSearchResult:
+             matcher: Optional[Matcher] = None) -> KSearchResult:
     """Find the minimum routable K of the grid without sweeping it all.
 
     ``base`` is placed once (unless ``positions`` is given) and
@@ -360,9 +344,9 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     ``tracer``, when given, receives one ``ksearch`` span whose
     children are the evaluated points' subtrees in evaluation order.
 
-    ``partition`` / ``matcher`` / ``route_cache`` inject session-scoped
-    caches exactly like :func:`~repro.core.flow.k_sweep` — pure
-    speedups, same chosen K and identical evaluated rows.
+    ``partition`` / ``matcher`` inject session-scoped caches exactly
+    like :func:`~repro.core.flow.k_sweep` — pure speedups, same chosen
+    K and identical evaluated rows.
     """
     grid = tuple(sorted({float(k) for k in k_values}))
     if not grid:
@@ -380,7 +364,7 @@ def k_search(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     with span_cm as span:
         ev = _Evaluator(base, positions, floorplan, config, grid, part,
                         tolerance, nworkers, tracer, progress,
-                        matcher=matcher, route_cache=route_cache)
+                        matcher=matcher)
         chosen_i = _STRATEGY_FNS[strategy](ev)
         stats = StatsRegistry()
         stats.count("ksearch.grid_points", len(grid))

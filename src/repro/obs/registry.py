@@ -30,8 +30,7 @@ algorithmic count.  :class:`StatsRegistry` replaces them:
   ``metric`` float  sum      measured property of the produced
                              solution — valid either way but may
                              vary with the execution plan (e.g.
-                             routed wirelength under cache
-                             warm-starts)
+                             routed wirelength)
   ``work``  int     sum      work performed — varies with the
                              execution plan (cache warm-starts,
                              worker chunking) even when results
@@ -151,7 +150,7 @@ class StatsRegistry(Mapping):
 
     def metric(self, key: str, value: float) -> None:
         """Record a solution metric (float) that may legitimately vary
-        with the execution plan (e.g. warm-started routes)."""
+        with the execution plan (e.g. routed wirelength)."""
         self._put(key, float(value), METRIC)
 
     def work(self, key: str, value: int) -> None:

@@ -6,11 +6,10 @@ from .maze import l_route_edges, maze_route
 from .router import (
     GlobalRouter,
     NetRoute,
-    RouteCache,
     RoutingResult,
     victim_order,
 )
-from .steiner import gcell_signature, hpwl_of_points, manhattan, mst_segments
+from .steiner import hpwl_of_points, manhattan, mst_segments
 
 __all__ = [
     "CongestionStats",
@@ -18,13 +17,11 @@ __all__ = [
     "GlobalRouter",
     "HORIZONTAL",
     "NetRoute",
-    "RouteCache",
     "RoutingGrid",
     "RoutingResources",
     "RoutingResult",
     "VERTICAL",
     "congestion_stats",
-    "gcell_signature",
     "hpwl_of_points",
     "l_route_edges",
     "manhattan",

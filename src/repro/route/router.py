@@ -24,13 +24,8 @@ summing in different orders.
 The router ``seed`` feeds the negotiation's victim ordering (see
 :func:`victim_order`), which is what lets the placement-retry loop in
 ``core.flow`` explore different rip-up schedules on each attempt.
-
-Cross-evaluation route reuse: a :class:`RouteCache` carries the final
-per-segment routes of one run, keyed by each net's **pin GCell
-signature** (sorted distinct GCells).  A later run over the same grid
-warm-starts any net with an unchanged signature from the cached route
-instead of re-deriving L-shapes — the mechanism ``core.flow.k_sweep``
-uses so adjacent K points stop paying full routing cost.
+Every call routes from scratch: no route state carries over from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -51,11 +46,10 @@ from .maze import (
     maze_window,
     window_contains,
 )
-from .steiner import gcell_signature, mst_segments
+from .steiner import mst_segments
 
 Point = Tuple[float, float]
 Edge = Tuple[int, int, int]
-Signature = Tuple[GCell, ...]
 
 #: Overflow-penalty growth per negotiation round.
 PENALTY_STEP = 4.0
@@ -73,7 +67,6 @@ class NetRoute:
     pins: List[GCell]
     segments: List[Tuple[GCell, GCell]]
     edges: List[Edge] = field(default_factory=list)
-    signature: Signature = ()
     #: Per-MST-segment flat edge-id arrays (aligned with ``segments``).
     seg_edge_ids: List[np.ndarray] = field(default_factory=list)
 
@@ -96,12 +89,9 @@ class RoutingResult:
     #: Router phase timings, work counters and result counts, all under
     #: the ``route.`` namespace: ``route.t_init`` / ``route.t_negotiate``
     #: (times), ``route.nets_rerouted`` / ``route.segments_rerouted`` /
-    #: ``route.routes_reused`` / ``route.iterations`` (work),
-    #: ``route.violations`` / ``route.overflowed_nets`` (counts) and
-    #: ``route.wirelength`` (metric).  ``route.reuse_skipped`` (work) is
-    #: 1 when a non-empty warm cache was presented but matched nothing
-    #: because the routing grid changed shape (recorded by
-    #: :meth:`GlobalRouter.route`).
+    #: ``route.iterations`` (work), ``route.violations`` /
+    #: ``route.overflowed_nets`` (counts) and ``route.wirelength``
+    #: (metric).
     stats: StatsRegistry = field(default_factory=StatsRegistry)
 
     @property
@@ -114,74 +104,21 @@ class RoutingResult:
         return self.routes[name].wirelength(self.grid)
 
 
-class RouteCache:
-    """Cross-evaluation warm-start store (the cross-K reuse key).
-
-    Maps pin GCell signatures to the per-segment edge-id arrays of the
-    most recently stored routing result.  A signature fully determines
-    the MST decomposition (:func:`repro.route.steiner.gcell_signature`),
-    so a cached entry can seed any later net with the same signature on
-    a compatible grid.  Routers only *read* the cache; the flow layer
-    calls :meth:`store` once per accepted evaluation, which keeps
-    retry fan-outs deterministic (every attempt sees the same snapshot).
-    """
-
-    def __init__(self) -> None:  # noqa: D107
-        self.grid_key: Optional[Tuple[int, int, int, int]] = None
-        self.routes: Dict[Signature, List[np.ndarray]] = {}
-
-    @staticmethod
-    def _key(grid: RoutingGrid) -> Tuple[int, int, int, int]:
-        return (grid.nx, grid.ny, grid.hcap, grid.vcap)
-
-    def clone(self) -> "RouteCache":
-        """An independent cache holding the same snapshot.
-
-        The per-segment edge-id arrays are shared (routers never mutate
-        them in place — rerouting rebinds a fresh array), but the
-        containers are copied, so a clone can be stored into without
-        affecting its source.  This is what gives every task of a
-        parallel sweep round its own warm-start shard seeded from the
-        round's opening snapshot.
-        """
-        out = RouteCache()
-        out.grid_key = self.grid_key
-        out.routes = {sig: list(arrs) for sig, arrs in self.routes.items()}
-        return out
-
-    def warm_routes(self, grid: RoutingGrid) -> Dict[Signature,
-                                                     List[np.ndarray]]:
-        """The reusable routes for a grid (empty on grid mismatch)."""
-        if self.grid_key != self._key(grid):
-            return {}
-        return self.routes
-
-    def store(self, result: RoutingResult) -> None:
-        """Replace the cache with a result's final routes."""
-        self.grid_key = self._key(result.grid)
-        self.routes = {route.signature: list(route.seg_edge_ids)
-                       for _, route in sorted(result.routes.items())}
-
-
 def _router_stats(t_init: float, t_negotiate: float, nets_rerouted: int,
-                  segments_rerouted: int, routes_reused: int,
-                  iterations: int, violations: int, overflowed_nets: int,
+                  segments_rerouted: int, iterations: int,
+                  violations: int, overflowed_nets: int,
                   wirelength: float) -> StatsRegistry:
     """The routing stats registry.
 
     Violations and overflowed nets are *results* (deterministic
-    counts); reroute and reuse tallies are *work* (they vary with
-    warm-starting and negotiation schedule even when the results are
-    bit-identical).  Wirelength is a *metric*: a warm-started net keeps
-    its cached (legal) route, so the total can differ from a cold run
-    that never needed to detour.
+    counts); reroute tallies are *work* (they vary with the
+    negotiation schedule); wirelength is a *metric*.
     """
     stats = StatsRegistry()
     stats.time("route.t_init", t_init)
     stats.time("route.t_negotiate", t_negotiate)
     stats.work("route.nets_rerouted", int(nets_rerouted))
     stats.work("route.segments_rerouted", int(segments_rerouted))
-    stats.work("route.routes_reused", int(routes_reused))
     stats.work("route.iterations", int(iterations))
     stats.count("route.violations", int(violations))
     stats.count("route.overflowed_nets", int(overflowed_nets))
@@ -214,29 +151,9 @@ class GlobalRouter:
         self.max_iterations = max_iterations
         self.seed = seed
 
-    def route(self, net_points: Dict[str, List[Point]],
-              cache: Optional[RouteCache] = None) -> RoutingResult:
-        """Route all nets; returns the result with violation counts.
-
-        ``cache`` (read-only here) warm-starts nets whose pin GCell
-        signature matches a cached route on a compatible grid.  A
-        non-empty cache that matches nothing because the grid changed
-        shape is counted as ``route.reuse_skipped`` in the result's
-        stats — the one residual way a requested warm start can be
-        silently dropped.
-        """
+    def route(self, net_points: Dict[str, List[Point]]) -> RoutingResult:
+        """Route all nets; returns the result with violation counts."""
         grid = RoutingGrid(self.floorplan, self.resources, self.gcell_rows)
-        warm = cache.warm_routes(grid) if cache is not None else {}
-        reuse_skipped = int(cache is not None and bool(cache.routes)
-                            and not warm)
-        result = self._negotiate(grid, net_points, warm)
-        result.stats.work("route.reuse_skipped", reuse_skipped)
-        return result
-
-    def _negotiate(self, grid: RoutingGrid,
-                      net_points: Dict[str, List[Point]],
-                      warm: Dict[Signature, List[np.ndarray]]
-                      ) -> RoutingResult:
         t0 = time.perf_counter()
         names = sorted(net_points)
         routes: Dict[str, NetRoute] = {}
@@ -244,21 +161,14 @@ class GlobalRouter:
         seg_pins: List[Tuple[GCell, GCell]] = []
         seg_ids: List[np.ndarray] = []     # committed edge ids per segment
         net_first: List[int] = []          # first segment index per net
-        routes_reused = 0
         demand_flat = grid.demand_flat
         for i, name in enumerate(names):
             pins = [grid.gcell_of(p) for p in net_points[name]]
-            signature = gcell_signature(pins)
             segments = mst_segments(pins)
-            routes[name] = NetRoute(name=name, pins=pins, segments=segments,
-                                    signature=signature)
+            routes[name] = NetRoute(name=name, pins=pins, segments=segments)
             net_first.append(len(seg_ids))
-            cached = warm.get(signature)
-            reuse = cached is not None and len(cached) == len(segments)
-            if reuse:
-                routes_reused += 1
-            for j, (a, b) in enumerate(segments):
-                ids = cached[j] if reuse else _best_l_ids(grid, a, b)
+            for a, b in segments:
+                ids = _best_l_ids(grid, a, b)
                 demand_flat[ids] += 1
                 seg_net.append(i)
                 seg_pins.append((a, b))
@@ -339,7 +249,7 @@ class GlobalRouter:
                 grid.decode_edge_ids(np.concatenate(route.seg_edge_ids))
                 if route.seg_edge_ids else [])
         stats = _router_stats(t_init, t_negotiate, len(rerouted_nets),
-                              segments_rerouted, routes_reused, iterations,
+                              segments_rerouted, iterations,
                               violations, overflowed_nets, total_wl)
         return RoutingResult(grid=grid, routes=routes, violations=violations,
                              overflowed_nets=overflowed_nets,

@@ -22,16 +22,6 @@ def manhattan(a: Sequence[float], b: Sequence[float]) -> float:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def gcell_signature(points: Sequence[GCell]) -> Tuple[GCell, ...]:
-    """Canonical pin signature of a net: sorted distinct GCells.
-
-    :func:`mst_segments` depends only on this signature, which is what
-    makes it a sound cross-K route-reuse key: two nets with equal
-    signatures decompose into identical two-pin segments.
-    """
-    return tuple(sorted(set(points)))
-
-
 def mst_segments(points: Sequence[GCell]) -> List[Tuple[GCell, GCell]]:
     """Prim MST over GCells; returns two-pin segments (deduplicated).
 

@@ -6,9 +6,8 @@ package turns the same flow entry points into a cache-warm service:
 * :class:`Job` / :class:`JobResult` — the JSONL request/response model
   (deterministic result lines, byte-identical at any worker count;
   field-by-field reference in ``docs/jobs-schema.md``);
-* :class:`SessionCaches` — content-keyed netlist, layout, matcher and
-  per-(die, netlist) route-cache pools shared across jobs, with LRU
-  :class:`CacheBounds`;
+* :class:`SessionCaches` — content-keyed netlist, layout and matcher
+  caches shared across jobs, with LRU :class:`CacheBounds`;
 * the :mod:`~repro.serve.scheduler` — (netlist, die) affinity chains
   that run independent jobs concurrently (``--serve-workers``) while
   keeping the output stream byte-identical to a sequential run;

@@ -2,8 +2,7 @@
 
 One-shot CLI invocations pay the full cold-start tax on every run:
 re-import, library pattern rebuild, netlist parse + decomposition,
-technology-independent placement, match enumeration, cold route
-negotiation.  A :class:`SessionCaches` instance owns everything of that
+technology-independent placement, match enumeration.  A :class:`SessionCaches` instance owns everything of that
 which is reusable *across* jobs, keyed so that reuse is always sound:
 
 * **Parsed netlists** — content-keyed: a BLIF file keys on the SHA-256
@@ -22,17 +21,10 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   :class:`~repro.core.covering.CoverMemo` the mapper hangs off it
   compose across jobs exactly as they do across the K points of one
   sweep.
-* **Route pools** — one :class:`~repro.route.router.RouteCache` per
-  (netlist, die): jobs warm-start from the last clean snapshot a
-  previous job on the *same* die/netlist stored, through the same
-  clean-snapshot sharding that keeps parallel sweep rounds
-  bit-identical.  A job on a different die or netlist gets its own
-  pool entry, so it can never adopt a foreign shard (the grid key
-  inside :class:`RouteCache` backstops even hand-constructed misuse).
 
-Every cache is a pure speedup: mapping, placement and match results are
-deterministic functions of their keys, and route warm starts never
-change reported rows — so a warm engine emits byte-identical result
+Routing is not cached: every job routes cold.  Every cache is a pure
+speedup: mapping, placement and match results are deterministic
+functions of their keys, so a warm engine emits byte-identical result
 lines to a cold one, bounded or not.
 
 Lifecycle
@@ -40,7 +32,7 @@ Lifecycle
 Long sessions cannot grow without bound, so every family is an LRU
 store governed by one :class:`CacheBounds`: ``max_entries`` caps each
 family's entry count, ``max_bytes`` caps the *estimated* total byte
-footprint across all four families (evicting the globally
+footprint across all three families (evicting the globally
 least-recently-used entry first, whatever family it lives in).
 Evictions are counted per family and in total, and the running byte
 estimate is exported as the ``serve.cache_bytes`` gauge — both visible
@@ -68,7 +60,6 @@ from ..network.dag import BaseNetwork
 from ..network.decompose import decompose
 from ..obs import StatsRegistry
 from ..place import Floorplan, place_base_network
-from ..route.router import RouteCache
 
 __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
            "source_key"]
@@ -77,7 +68,7 @@ __all__ = ["CacheBounds", "SessionCaches", "approx_nbytes", "die_key",
 DieKey = Tuple[float, float, int]
 
 #: The cache family names, in reporting order.
-FAMILIES = ("netlist", "layout", "matcher", "route_pool")
+FAMILIES = ("netlist", "layout", "matcher")
 
 
 def source_key(source: str) -> str:
@@ -100,8 +91,7 @@ class CacheBounds:
     """Size limits for one :class:`SessionCaches` (0 = unbounded).
 
     ``max_entries`` bounds each family independently (a session may
-    hold at most that many netlists, layouts, matchers and route pools
-    *each*); ``max_bytes`` bounds the estimated total footprint of all
+    hold at most that many netlists, layouts and matchers *each*); ``max_bytes`` bounds the estimated total footprint of all
     families together.  Both are enforced on insertion by evicting
     least-recently-used entries first.
     """
@@ -183,7 +173,7 @@ class _Entry:
 
 
 class SessionCaches:
-    """The four cross-job cache families plus lifecycle bookkeeping.
+    """The three cross-job cache families plus lifecycle bookkeeping.
 
     ``bounds`` activates LRU eviction (see :class:`CacheBounds`); the
     default is unbounded.
@@ -195,11 +185,6 @@ class SessionCaches:
         self.bounds = bounds if bounds is not None else CacheBounds()
         self._families: Dict[str, Dict[Any, _Entry]] = {
             family: {} for family in FAMILIES}
-        #: The routes-dict object each route pool's byte estimate was
-        #: taken of — identity comparison detects snapshot advances
-        #: (``store()`` rebinds the dict), and holding the reference
-        #: pins its id.
-        self._route_sized: Dict[Any, Any] = {}
         self._tick = 0
         self._counts: Dict[str, int] = {}
         for family in FAMILIES:
@@ -231,8 +216,6 @@ class SessionCaches:
 
     def _evict(self, family: str, key: Any) -> None:
         self._families[family].pop(key)
-        if family == "route_pool":
-            self._route_sized.pop(key, None)
         self._counts[f"{family}_evictions"] += 1
 
     def _enforce_bounds(self) -> None:
@@ -310,47 +293,6 @@ class SessionCaches:
         matcher = Matcher(base, self.library)
         self._put("matcher", key, matcher)
         return matcher
-
-    # -- route pools -----------------------------------------------------
-
-    def route_pool(self, key: str, floorplan: Floorplan) -> RouteCache:
-        """The per-(netlist, die) warm-start route cache.
-
-        Distinct dies (or netlists) map to distinct pool entries, so a
-        job can never warm-start from a foreign shard; within one
-        entry, the flow layer's clean-snapshot rule (only
-        zero-violation routings are stored) applies across jobs exactly
-        as it does across the K points of one sweep.
-        """
-        rkey = (key, die_key(floorplan))
-        cached = self._get("route_pool", rkey)
-        if cached is not None:
-            return cached
-        cache = RouteCache()
-        self._put("route_pool", rkey, cache)
-        return cache
-
-    def sync(self) -> None:
-        """Refresh the byte estimates of route pools that advanced.
-
-        The engine calls this after every job: route pools are the one
-        family whose entries *grow* after insertion (the flow layer
-        stores clean snapshots into them), so their accounting is
-        brought up to date here rather than on some later, unrelated
-        access.
-        """
-        for rkey, entry in self._families["route_pool"].items():
-            cache = entry.value
-            if self._route_sized.get(rkey) is not cache.routes:
-                entry.nbytes = approx_nbytes(cache)
-                self._route_sized[rkey] = cache.routes
-        if self.bounds.bounded:
-            self._enforce_bounds()
-
-    @property
-    def route_pool_keys(self) -> Tuple[Tuple[str, DieKey], ...]:
-        """The (netlist, die) keys currently pooled (isolation tests)."""
-        return tuple(self._families["route_pool"])
 
     # -- reporting -------------------------------------------------------
 

@@ -24,8 +24,8 @@ against it.  The execution model is deterministic by construction:
   ``serve_workers`` and ``workers`` are complementary, not
   multiplicative.
 * **Caches are injected, not rebuilt — and they have a lifecycle.**
-  The netlist, layout, matcher and per-(die, netlist) route-cache pool
-  come from the session cache; :class:`~repro.serve.caches.CacheBounds`
+  The netlist, layout and matcher come from the session cache (routing
+  always runs cold); :class:`~repro.serve.caches.CacheBounds`
   adds LRU entry/byte limits for long sessions.
 
 A failing job (unknown benchmark, unroutable die, bad BLIF) reports
@@ -83,8 +83,7 @@ __all__ = ["ServeEngine"]
 
 #: Stats suffixes summed over a job's evaluated points into the
 #: engine-level cache/work tallies (all plan-dependent by design).
-_POINT_WORK_KEYS = ("route.routes_reused", "route.reuse_skipped",
-                    "cover.memo_hits", "map.match_cache_hits")
+_POINT_WORK_KEYS = ("cover.memo_hits", "map.match_cache_hits")
 
 #: (histogram key, per-point stats key) — the per-phase wall-times
 #: summed over a job's evaluated points into latency histograms.
@@ -163,9 +162,6 @@ class ServeEngine:
             result, points = JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=False,
                 verdict="error", error=f"{type(exc).__name__}: {exc}"), []
-        # Route pools may have advanced during the job: re-account them
-        # before the next job.
-        self.caches.sync()
         t_job = time.perf_counter() - t0
         for point in points:
             for key in _POINT_WORK_KEYS:
@@ -213,15 +209,12 @@ class ServeEngine:
             Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
         positions, part = self.caches.layout(key, base, floorplan, config)
         matcher = self.caches.matcher(key, base)
-        route_cache = (self.caches.route_pool(key, floorplan)
-                       if config.route_reuse else None)
         k_values = list(job.k) if job.k is not None else list(PAPER_K_VALUES)
         if job.cmd == "flow":
             flow = congestion_aware_flow(
                 base, floorplan, config, k_schedule=k_values,
                 positions=positions, tolerance=job.tolerance,
-                tracer=self.tracer, partition=part, matcher=matcher,
-                route_cache=route_cache)
+                tracer=self.tracer, partition=part, matcher=matcher)
             return JobResult(
                 id=job.id, cmd=job.cmd, source=job.source,
                 ok=flow.converged, verdict=flow.verdict,
@@ -231,7 +224,7 @@ class ServeEngine:
             points = k_sweep(
                 base, floorplan, config, k_values=k_values,
                 positions=positions, tracer=self.tracer, partition=part,
-                matcher=matcher, route_cache=route_cache)
+                matcher=matcher)
             return JobResult(
                 id=job.id, cmd=job.cmd, source=job.source, ok=True,
                 verdict="swept", rows=[p.row() for p in points]), points
@@ -240,7 +233,7 @@ class ServeEngine:
             base, floorplan, config, k_values=k_values,
             positions=positions, strategy=job.strategy,
             tolerance=job.tolerance, tracer=self.tracer, partition=part,
-            matcher=matcher, route_cache=route_cache)
+            matcher=matcher)
         return JobResult(
             id=job.id, cmd=job.cmd, source=job.source,
             ok=search.chosen is not None, verdict=search.verdict,
@@ -382,8 +375,7 @@ class ServeEngine:
         cache["library_build_hits"] = int(lib["library.build_hits"])
         cache["library_build_misses"] = int(lib["library.build_misses"])
         rates = {}
-        for family in ("netlist", "layout", "matcher", "route_pool",
-                       "library_build"):
+        for family in ("netlist", "layout", "matcher", "library_build"):
             hits = cache[f"{family}_hits"]
             total = hits + cache[f"{family}_misses"]
             rates[family] = (hits / total) if total else 0.0

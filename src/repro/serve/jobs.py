@@ -14,9 +14,11 @@ object per line::
 ``source`` is a BLIF path or a ``name@scale`` benchmark (exactly the
 CLI's positional); ``rows`` sizes the die (0 = the CLI's default
 utilization-derived die); ``workers`` overrides the engine's default
-per-job fan-out.  Unknown fields — and a ``strategy`` outside the
-:mod:`~repro.core.ksearch` strategies — are rejected so typos fail
-loudly.
+per-job fan-out.  Unknown fields, a ``strategy`` outside the
+:mod:`~repro.core.ksearch` strategies, a ``k`` that is not a list of
+finite non-negative numbers, and a boolean where an int is expected are
+rejected at parse time, so bad input fails loudly as a :class:`JobError`
+before any work starts.
 
 A :class:`JobResult` is the corresponding output line.  It carries
 **only deterministic fields** — the evaluated rows (``EvalPoint.row()``
@@ -30,6 +32,7 @@ summary`) and the trace instead.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -48,6 +51,21 @@ _KNOWN_FIELDS = frozenset(
 
 class JobError(ReproError):
     """A malformed job line (bad JSON, unknown command, bad field)."""
+
+
+def _is_int(value: Any) -> bool:
+    """A JSON integer (``bool`` is an ``int`` subclass, but not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_k(value: Any) -> bool:
+    """A finite, non-negative JSON number usable as a congestion K."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value)) and value >= 0
+    except OverflowError:       # an integer literal beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -100,26 +118,25 @@ def parse_job(data: Dict[str, Any], index: int = 0) -> Job:
     if not isinstance(source, str) or not source:
         raise JobError(f"job {index}: missing source")
     rows = data.get("rows", 0)
-    if not isinstance(rows, int) or rows < 0:
+    if not _is_int(rows) or rows < 0:
         raise JobError(f"job {index}: rows must be a non-negative int")
     k = data.get("k")
     if k is not None:
-        try:
-            k = tuple(float(x) for x in k)
-        except (TypeError, ValueError):
-            raise JobError(f"job {index}: k must be a list of numbers") \
-                from None
+        if not isinstance(k, list) or not all(_is_k(x) for x in k):
+            raise JobError(f"job {index}: k must be a list of finite, "
+                           f"non-negative numbers")
         if not k:
             raise JobError(f"job {index}: k must be non-empty when given")
+        k = tuple(float(x) for x in k)
     tolerance = data.get("tolerance", 0)
-    if not isinstance(tolerance, int) or tolerance < 0:
+    if not _is_int(tolerance) or tolerance < 0:
         raise JobError(f"job {index}: tolerance must be a non-negative int")
     strategy = data.get("strategy", "bisect")
     if strategy not in STRATEGIES:
         raise JobError(f"job {index}: strategy must be one of "
                        f"{STRATEGIES}, got {strategy!r}")
     workers = data.get("workers")
-    if workers is not None and (not isinstance(workers, int) or workers < 1):
+    if workers is not None and (not _is_int(workers) or workers < 1):
         raise JobError(f"job {index}: workers must be a positive int")
     job_id = data.get("id", f"job{index}")
     return Job(id=str(job_id), cmd=cmd, source=source, rows=rows, k=k,

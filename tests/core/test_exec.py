@@ -142,28 +142,6 @@ class TestParallelKSweepDeterminism:
                             positions=positions)
         assert [p.row() for p in serial] == [p.row() for p in viaconfig]
 
-    def test_parallel_rounds_reuse_routes(self, sweep_setup):
-        """ISSUE 7 satellite: workers>1 + route_reuse must actually
-        warm-start (the pre-fix parallel path silently dropped the
-        cache).  With 2 workers the sweep runs rounds [K0, K1], [K2];
-        the second round warm-starts from the first's clean pick."""
-        base, config, floorplan, positions = sweep_setup
-        points = k_sweep(base, floorplan, config,
-                         k_values=[0.0, 0.001, 0.01],
-                         positions=positions, workers=2)
-        assert points[0].stats["routes_reused"] == 0
-        assert points[1].stats["routes_reused"] == 0
-        if not any(p.violations == 0 for p in points[:2]):
-            pytest.skip("no clean first-round point to seed the cache")
-        assert points[2].stats["routes_reused"] > 0
-        # And the warm rows still match a cold parallel sweep's.
-        from dataclasses import replace
-        cold = k_sweep(base, floorplan,
-                       replace(config, route_reuse=False),
-                       k_values=[0.0, 0.001, 0.01],
-                       positions=positions, workers=2)
-        assert [p.row() for p in points] == [p.row() for p in cold]
-
     def test_instrumentation_present(self, sweep_setup):
         base, config, floorplan, positions = sweep_setup
         points = k_sweep(base, floorplan, config, k_values=[0.0, 0.001],

@@ -56,6 +56,15 @@ class TestRunKPoint:
         assert k == 0.001
         assert area == point.cell_area
 
+    def test_router_phase_stats_reach_eval_point(self, flow_setup):
+        base, config, floorplan, positions = flow_setup
+        point = run_k_point(base, positions, floorplan, config, 0.0)
+        for key in ("route.t_init", "route.t_negotiate",
+                    "route.nets_rerouted", "route.segments_rerouted"):
+            assert key in point.stats
+        assert point.stats["route.t_init"] >= 0.0
+        assert point.stats["route.t_negotiate"] >= 0.0
+
 
 class TestKSweep:
     def test_sweep_shapes(self, flow_setup):
@@ -77,6 +86,19 @@ class TestKSweep:
         for point in k_sweep(base, floorplan, config,
                              k_values=[0.0, 1.0], positions=positions):
             check_base_vs_mapped(base, point.mapping.netlist, CORELIB018)
+
+    def test_points_match_standalone_runs(self, flow_setup):
+        """No routing state crosses K points: every sweep point routes
+        exactly like a standalone run at its K (rows and wirelength)."""
+        base, config, floorplan, positions = flow_setup
+        ks = [0.0, 0.001, 0.01]
+        swept = k_sweep(base, floorplan, config, k_values=ks,
+                        positions=positions)
+        alone = [run_k_point(base, positions, floorplan, config, k)
+                 for k in ks]
+        assert [p.row() for p in swept] == [p.row() for p in alone]
+        assert [p.routed_wirelength for p in swept] == \
+            [p.routed_wirelength for p in alone]
 
 
 class TestCongestionAwareFlow:
@@ -122,8 +144,8 @@ def _script_violations(monkeypatch, sequence):
     class ScriptedRouter(real_router):
         _script_real = real_router
 
-        def route(self, points, cache=None):
-            routing = super().route(points, cache=cache)
+        def route(self, points):
+            routing = super().route(points)
             routing.violations = next(remaining)
             return routing
 
@@ -345,89 +367,6 @@ class TestPlaceAttemptSeeds:
         assert seeds == [11, 12, 13]
 
 
-class TestCrossKRouteReuse:
-    """Cross-K warm-starting must be a pure speedup: bit-identical
-    sweep rows and wirelength versus routing every point cold."""
-
-    K_VALUES = [0.0, 0.001, 0.01]
-
-    def test_three_point_sweep_matches_cold(self, flow_setup):
-        from dataclasses import replace
-
-        base, config, floorplan, positions = flow_setup
-        warm_cfg = replace(config, route_reuse=True)
-        cold_cfg = replace(config, route_reuse=False)
-        warm = k_sweep(base, floorplan, warm_cfg, k_values=self.K_VALUES,
-                       positions=positions)
-        cold = k_sweep(base, floorplan, cold_cfg, k_values=self.K_VALUES,
-                       positions=positions)
-        assert [p.row() for p in warm] == [p.row() for p in cold]
-        assert [p.routed_wirelength for p in warm] == \
-            [p.routed_wirelength for p in cold]
-        # The first K point seeds the cache; later points draw from it.
-        reused = [p.stats["routes_reused"] for p in warm]
-        assert reused[0] == 0
-        assert sum(reused[1:]) > 0
-        assert all(p.stats["routes_reused"] == 0 for p in cold)
-
-    def test_router_phase_stats_reach_eval_point(self, flow_setup):
-        base, config, floorplan, positions = flow_setup
-        point = run_k_point(base, positions, floorplan, config, 0.0)
-        for key in ("route.t_init", "route.t_negotiate",
-                    "route.nets_rerouted", "route.segments_rerouted",
-                    "route.routes_reused"):
-            assert key in point.stats
-        assert point.stats["route.t_init"] >= 0.0
-        assert point.stats["route.t_negotiate"] >= 0.0
-
-
-class TestRouteCacheGating:
-    """Only *clean* routings may refresh the cross-K cache.
-
-    Regression for the figure3 non-convergence: warm-starting the next
-    K point's negotiation from a congested snapshot poisons it with
-    overflow history the router cannot unwind.
-    """
-
-    def test_congested_result_does_not_refresh_cache(self, flow_setup,
-                                                     monkeypatch):
-        import repro.core.flow as flow_mod
-        from repro.route import RouteCache
-
-        base, config, floorplan, positions = flow_setup
-        mapping = flow_mod.map_network(
-            base, config.library, partition_style="dagon")
-        real_router = flow_mod.GlobalRouter
-
-        class CongestedRouter(real_router):
-            def route(self, points, cache=None):
-                routing = super().route(points, cache=cache)
-                routing.violations = 7
-                return routing
-
-        monkeypatch.setattr(flow_mod, "GlobalRouter", CongestedRouter)
-        cache = RouteCache()
-        flow_mod.evaluate_netlist(mapping.netlist, floorplan, config,
-                                  route_cache=cache)
-        assert cache.routes == {}, \
-            "a congested routing must not be stored for warm-starting"
-
-    def test_clean_result_refreshes_cache(self, flow_setup):
-        import repro.core.flow as flow_mod
-        from repro.route import RouteCache
-
-        base, config, floorplan, positions = flow_setup
-        mapping = flow_mod.map_network(
-            base, config.library, partition_style="dagon")
-        cache = RouteCache()
-        point = flow_mod.evaluate_netlist(mapping.netlist, floorplan,
-                                          config, route_cache=cache)
-        if point.violations == 0:
-            assert len(cache.routes) > 0
-        else:
-            assert cache.routes == {}
-
-
 class TestFlowTracing:
     """The flow drivers thread the run tracer through every stage."""
 
@@ -458,7 +397,7 @@ class TestFlowTracing:
 
 
 class TestInjectedCaches:
-    """Injected partition/matcher/route-cache are pure speedups.
+    """Injected partition/matcher are pure speedups.
 
     The serve engine hands the flow entry points session-scoped caches;
     every row must be bit-identical to the uninjected defaults.
@@ -469,34 +408,34 @@ class TestInjectedCaches:
     def _injected(self, base, config, positions):
         from repro.core import Matcher
         from repro.core.partition import partition as make_partition
-        from repro.route import RouteCache
 
         part = make_partition(base, config.partition_style,
                               positions=positions)
         matcher = Matcher(base, config.library)
-        return part, matcher, RouteCache()
+        return part, matcher
 
     def test_k_sweep_injection_identical(self, flow_setup):
         base, config, floorplan, positions = flow_setup
-        part, matcher, cache = self._injected(base, config, positions)
+        part, matcher = self._injected(base, config, positions)
         default = k_sweep(base, floorplan, config, k_values=self.K_VALUES,
                           positions=positions)
         injected = k_sweep(base, floorplan, config, k_values=self.K_VALUES,
                            positions=positions, partition=part,
-                           matcher=matcher, route_cache=cache)
+                           matcher=matcher)
         assert [p.row() for p in injected] == [p.row() for p in default]
         assert [p.routed_wirelength for p in injected] == \
             [p.routed_wirelength for p in default]
         # Running again with the now-warm caches is still identical.
         warm = k_sweep(base, floorplan, config, k_values=self.K_VALUES,
                        positions=positions, partition=part,
-                       matcher=matcher, route_cache=cache)
+                       matcher=matcher)
         assert [p.row() for p in warm] == [p.row() for p in default]
-        assert warm[0].stats["routes_reused"] > 0
+        assert [p.routed_wirelength for p in warm] == \
+            [p.routed_wirelength for p in default]
 
     def test_flow_injection_identical(self, flow_setup):
         base, config, floorplan, positions = flow_setup
-        part, matcher, cache = self._injected(base, config, positions)
+        part, matcher = self._injected(base, config, positions)
         default = congestion_aware_flow(base, floorplan, config,
                                         k_schedule=[0.0, 0.01],
                                         tolerance=1000,
@@ -505,8 +444,7 @@ class TestInjectedCaches:
                                          k_schedule=[0.0, 0.01],
                                          tolerance=1000,
                                          positions=positions,
-                                         partition=part, matcher=matcher,
-                                         route_cache=cache)
+                                         partition=part, matcher=matcher)
         assert [p.row() for p in injected.history] == \
             [p.row() for p in default.history]
         assert injected.verdict == default.verdict
@@ -516,27 +454,14 @@ class TestInjectedCaches:
         from repro.core import k_search
 
         base, config, floorplan, positions = flow_setup
-        part, matcher, cache = self._injected(base, config, positions)
+        part, matcher = self._injected(base, config, positions)
         default = k_search(base, floorplan, config,
                            k_values=self.K_VALUES, positions=positions,
                            tolerance=1000)
         injected = k_search(base, floorplan, config,
                             k_values=self.K_VALUES, positions=positions,
                             tolerance=1000, partition=part,
-                            matcher=matcher, route_cache=cache)
+                            matcher=matcher)
         assert injected.chosen_k == default.chosen_k
         assert [p.row() for p in injected.table_points()] == \
             [p.row() for p in default.table_points()]
-
-    def test_route_reuse_off_ignores_injected_cache(self, flow_setup):
-        from dataclasses import replace
-
-        base, config, floorplan, positions = flow_setup
-        part, matcher, cache = self._injected(base, config, positions)
-        off = replace(config, route_reuse=False)
-        points = k_sweep(base, floorplan, off, k_values=self.K_VALUES,
-                         positions=positions, partition=part,
-                         matcher=matcher, route_cache=cache)
-        assert all(p.stats["routes_reused"] == 0 for p in points)
-        assert cache.routes == {}, \
-            "route_reuse=False must not touch the injected cache"

@@ -110,8 +110,8 @@ class TestUnroutableGrid:
         real_router = flow_mod.GlobalRouter
 
         class HopelessRouter(real_router):
-            def route(self, points, cache=None):
-                routing = super().route(points, cache=cache)
+            def route(self, points):
+                routing = super().route(points)
                 routing.violations = 99
                 return routing
 

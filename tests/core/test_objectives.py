@@ -26,8 +26,10 @@ class TestConstruction:
         assert obj.load_estimate == 0.02
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            area_congestion(-1.0)
+        # ``nan < 0`` is false, so a sign check alone lets NaN through.
+        for k in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                area_congestion(k)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -28,13 +28,11 @@ from repro.route.router import (
     PLATEAU_RATIO,
     PLATEAU_ROUNDS,
     NetRoute,
-    RouteCache,
     RoutingResult,
-    Signature,
     _router_stats,
     victim_order,
 )
-from repro.route.steiner import gcell_signature, mst_segments
+from repro.route.steiner import mst_segments
 
 Edge = Tuple[int, int, int]
 
@@ -121,22 +119,10 @@ def _best_pattern_reference(grid: RoutingGrid, a: GCell, b: GCell,
     return best
 
 
-def route(router, net_points: Dict[str, List[Tuple[float, float]]],
-          cache: Optional[RouteCache] = None) -> RoutingResult:
+def route(router, net_points: Dict[str, List[Tuple[float, float]]]
+          ) -> RoutingResult:
     """:meth:`GlobalRouter.route` on the per-edge engine."""
     grid = RoutingGrid(router.floorplan, router.resources, router.gcell_rows)
-    warm = cache.warm_routes(grid) if cache is not None else {}
-    reuse_skipped = int(cache is not None and bool(cache.routes)
-                        and not warm)
-    result = _negotiate(router, grid, net_points, warm)
-    result.stats.work("route.reuse_skipped", reuse_skipped)
-    return result
-
-
-def _negotiate(router, grid: RoutingGrid,
-               net_points: Dict[str, List[Tuple[float, float]]],
-               warm: Dict[Signature, List[np.ndarray]]) -> RoutingResult:
-    """Route all nets with per-edge demand books."""
     t0 = time.perf_counter()
     names = sorted(net_points)
     routes: Dict[str, NetRoute] = {}
@@ -144,21 +130,13 @@ def _negotiate(router, grid: RoutingGrid,
     seg_pins: List[Tuple[GCell, GCell]] = []
     seg_edges: List[List[Edge]] = []
     net_first: List[int] = []
-    routes_reused = 0
     for i, name in enumerate(names):
         pins = [grid.gcell_of(p) for p in net_points[name]]
-        signature = gcell_signature(pins)
         segments = mst_segments(pins)
-        routes[name] = NetRoute(name=name, pins=pins, segments=segments,
-                                signature=signature)
+        routes[name] = NetRoute(name=name, pins=pins, segments=segments)
         net_first.append(len(seg_edges))
-        cached = warm.get(signature)
-        reuse = cached is not None and len(cached) == len(segments)
-        if reuse:
-            routes_reused += 1
-        for j, (a, b) in enumerate(segments):
-            edges = (grid.decode_edge_ids(cached[j]) if reuse
-                     else _best_l_reference(grid, a, b))
+        for a, b in segments:
+            edges = _best_l_reference(grid, a, b)
             grid.add_demand(edges)
             seg_net.append(i)
             seg_pins.append((a, b))
@@ -226,7 +204,7 @@ def _negotiate(router, grid: RoutingGrid,
         total_edges += len(edges)
     total_wl = h_edges * grid.gw + (total_edges - h_edges) * grid.gh
     stats = _router_stats(t_init, t_negotiate, len(rerouted_nets),
-                          segments_rerouted, routes_reused, iterations,
+                          segments_rerouted, iterations,
                           violations, overflowed_nets, total_wl)
     return RoutingResult(grid=grid, routes=routes, violations=violations,
                          overflowed_nets=overflowed_nets,

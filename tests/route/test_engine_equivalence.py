@@ -12,12 +12,9 @@ import pytest
 from repro.place import Floorplan
 from repro.route import (
     GlobalRouter,
-    RouteCache,
-    RoutingGrid,
     RoutingResources,
     victim_order,
 )
-from repro.route.steiner import gcell_signature
 from tests.oracles.route import route as oracle_route
 
 FLOORPLAN = Floorplan(width=104.0, row_height=5.2, num_rows=20)
@@ -37,12 +34,11 @@ def random_nets(seed, count, max_pins=5):
     return nets
 
 
-def both(resources, nets, seed=0, max_iterations=6, cache=None):
+def both(resources, nets, seed=0, max_iterations=6):
     """(router result, oracle result) for one net set."""
     router = GlobalRouter(FLOORPLAN, resources,
                           max_iterations=max_iterations, seed=seed)
-    return (router.route(nets, cache=cache),
-            oracle_route(router, nets, cache=cache))
+    return router.route(nets), oracle_route(router, nets)
 
 
 class TestEngineEquivalence:
@@ -60,6 +56,10 @@ class TestEngineEquivalence:
         for name in nets:
             assert sorted(a.routes[name].edges) == \
                 sorted(b.routes[name].edges), name
+            assert [sorted(ids.tolist())
+                    for ids in a.routes[name].seg_edge_ids] == \
+                [sorted(ids.tolist())
+                 for ids in b.routes[name].seg_edge_ids], name
 
     def test_multi_pin_and_degenerate_nets(self):
         nets = {
@@ -89,12 +89,10 @@ class TestRouterStats:
         result = GlobalRouter(FLOORPLAN, STARVED,
                               max_iterations=6).route(nets)
         for key in ("route.t_init", "route.t_negotiate",
-                    "route.nets_rerouted", "route.segments_rerouted",
-                    "route.routes_reused"):
+                    "route.nets_rerouted", "route.segments_rerouted"):
             assert key in result.stats
         assert result.stats["segments_rerouted"] >= \
             result.stats["nets_rerouted"] > 0
-        assert result.stats["routes_reused"] == 0
 
     def test_incremental_ripup_touches_fewer_segments(self):
         """Only segments crossing overflow are rerouted: nets far away
@@ -138,146 +136,3 @@ class TestVictimOrdering:
             assert a.violations == b.violations
             assert a.total_wirelength == b.total_wirelength
 
-
-class TestRouteCache:
-    def test_full_reuse_on_identical_nets(self):
-        nets = random_nets(6, count=50)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        first = router.route(nets, cache=cache)
-        cache.store(first)
-        second = router.route(nets, cache=cache)
-        assert second.stats["routes_reused"] == len(nets)
-        assert second.violations == first.violations
-        assert second.total_wirelength == first.total_wirelength
-
-    def test_partial_reuse_keeps_books_consistent(self):
-        nets = random_nets(7, count=40)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-        moved = dict(nets)
-        moved["n0"] = [(1.0, 1.0), (99.0, 99.0), (1.0, 99.0)]
-        result = router.route(moved, cache=cache)
-        assert 0 < result.stats["routes_reused"] < len(moved)
-        total_edges = sum(len(r.edges) for r in result.routes.values())
-        assert total_edges == int(result.grid.demand_flat.sum())
-
-    def test_grid_mismatch_disables_reuse(self):
-        nets = random_nets(8, count=30)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=4)
-        cache.store(router.route(nets, cache=cache))
-        other_fp = Floorplan(width=78.0, row_height=5.2, num_rows=15)
-        other = GlobalRouter(other_fp, max_iterations=4)
-        result = other.route(nets, cache=cache)
-        assert result.stats["routes_reused"] == 0
-
-    def test_reference_engine_reuses_too(self):
-        nets = random_nets(9, count=30)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, AMPLE, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-        result = oracle_route(router, nets, cache=cache)
-        assert result.stats["routes_reused"] == len(nets)
-        assert result.violations == 0
-
-    def test_cross_gcell_move_invalidates(self):
-        """A pin moved into another GCell changes the net's signature,
-        so its cached route must NOT warm-start the new net."""
-        nets = random_nets(10, count=40)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-
-        grid = RoutingGrid(FLOORPLAN, AMPLE, gcell_rows=2)
-        moved = dict(nets)
-        old_pin = moved["n3"][0]
-        new_pin = (old_pin[0], (old_pin[1] + 52.0) % 104.0)
-        assert grid.gcell_of(new_pin) != grid.gcell_of(old_pin)
-        moved["n3"] = [new_pin] + list(moved["n3"][1:])
-
-        result = router.route(moved, cache=cache)
-        assert result.stats["routes_reused"] == len(moved) - 1
-        # The moved net's fresh route matches a cold route of the same
-        # net set (reuse may not leak the stale geometry in).
-        cold = router.route(moved)
-        assert sorted(result.routes["n3"].edges) == \
-            sorted(cold.routes["n3"].edges)
-
-    def test_intra_gcell_move_reuses(self):
-        """A move within the same GCell keeps the signature — the
-        cached route stays valid and is reused."""
-        nets = random_nets(11, count=40)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-
-        grid = RoutingGrid(FLOORPLAN, AMPLE, gcell_rows=2)
-        moved = dict(nets)
-        old_pin = moved["n3"][0]
-        cell = grid.gcell_of(old_pin)
-        new_pin = (cell[0] * grid.gw + 0.25 * grid.gw,
-                   cell[1] * grid.gh + 0.25 * grid.gh)
-        assert grid.gcell_of(new_pin) == cell
-        moved["n3"] = [new_pin] + list(moved["n3"][1:])
-
-        result = router.route(moved, cache=cache)
-        assert result.stats["routes_reused"] == len(moved)
-
-    def test_reuse_skipped_counter(self):
-        """A warm cache that contributes nothing is observable: the
-        grid-mismatch drop records ``route.reuse_skipped`` instead of
-        silently routing cold (the ISSUE 7 satellite bugfix)."""
-        nets = random_nets(13, count=30)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=4)
-        first = router.route(nets, cache=cache)
-        assert first.stats["route.reuse_skipped"] == 0  # cache was empty
-        cache.store(first)
-        other_fp = Floorplan(width=78.0, row_height=5.2, num_rows=15)
-        other = GlobalRouter(other_fp, max_iterations=4)
-        mismatched = other.route(nets, cache=cache)
-        assert mismatched.stats["route.reuse_skipped"] == 1
-        assert mismatched.stats["routes_reused"] == 0
-        warm = router.route(nets, cache=cache)
-        assert warm.stats["route.reuse_skipped"] == 0
-        assert warm.stats["routes_reused"] > 0
-
-    def test_clone_is_an_independent_shard(self):
-        """clone() decouples the signature table: storing into a shard
-        never mutates the parent snapshot (the property the parallel
-        sweep rounds rely on)."""
-        nets = random_nets(14, count=25)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-        before = {sig: list(arrs) for sig, arrs in cache.routes.items()}
-
-        shard = cache.clone()
-        assert shard.grid_key == cache.grid_key
-        assert set(shard.routes) == set(cache.routes)
-        kept = {k: v for k, v in nets.items() if k != "n0"}
-        shard.store(router.route(kept, cache=shard))
-        # The parent snapshot is untouched, signature for signature.
-        assert set(cache.routes) == set(before)
-        for sig, arrs in cache.routes.items():
-            assert all(a is b for a, b in zip(arrs, before[sig]))
-        assert len(shard.routes) == len(kept)
-
-    def test_store_replaces_stale_routes(self):
-        """store() snapshots exactly the latest result: old signatures
-        vanish, so a deleted net cannot resurrect a stale route."""
-        nets = random_nets(12, count=20)
-        cache = RouteCache()
-        router = GlobalRouter(FLOORPLAN, max_iterations=6)
-        cache.store(router.route(nets, cache=cache))
-        assert len(cache.routes) == len(nets)
-
-        kept = {k: v for k, v in nets.items() if k not in ("n0", "n1")}
-        cache.store(router.route(kept, cache=cache))
-        assert len(cache.routes) == len(kept)
-        grid = RoutingGrid(FLOORPLAN, AMPLE, 2)
-        signatures = {gcell_signature([grid.gcell_of(p) for p in pins])
-                      for pins in kept.values()}
-        assert set(cache.routes) == signatures

@@ -24,17 +24,17 @@ class TestParserInheritance:
     ])
     def test_shared_flags_accepted(self, command, extra):
         args = build_parser().parse_args(
-            [command] + extra + ["--rows", "9", "--workers", "3",
-                                 "--no-route-reuse"])
+            [command] + extra + ["--rows", "9", "--workers", "3"])
         assert args.rows == 9
         assert args.workers == 3
-        assert args.no_route_reuse is True
 
     @pytest.mark.parametrize("argv", [
         ["flow", "spla@0.01", "--route-engine", "vector"],
         ["ksweep", "spla@0.01", "--place-engine", "vector"],
         ["sta", "spla@0.01", "--route-engine", "vector"],
         ["serve", "--cache-dir", "d", "jobs.jsonl"],
+        ["ksweep", "spla@0.01", "--no-route-reuse"],
+        ["serve", "--no-route-reuse", "jobs.jsonl"],
     ])
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

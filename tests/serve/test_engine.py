@@ -73,11 +73,9 @@ class TestCacheSharing:
         assert counters["netlist_hits"] == 3
         assert counters["matcher_misses"] == 1
         assert counters["matcher_hits"] == 3
-        # Two dies (12 and 13 rows) -> two layout/route-pool entries.
+        # Two dies (12 and 13 rows) -> two layout entries.
         assert counters["layout_entries"] == 2
-        assert counters["route_pool_entries"] == 2
         assert counters["layout_hits"] == 2      # s12b + f12
-        assert counters["route_pool_hits"] == 2
 
     def test_repeat_rows_identical_to_first(self, warm_run):
         _, results = warm_run
@@ -92,7 +90,7 @@ class TestCacheSharing:
         assert summary["ok"] == 4
         assert summary["jobs_per_sec"] > 0
         assert set(summary["cache_hit_rates"]) == {
-            "netlist", "layout", "matcher", "route_pool", "library_build"}
+            "netlist", "layout", "matcher", "library_build"}
         assert summary["cache_hit_rates"]["netlist"] == 0.75
         assert len(summary["per_job"]) == 4
         assert {entry["id"] for entry in summary["per_job"]} == \
@@ -100,41 +98,31 @@ class TestCacheSharing:
 
 
 class TestDieIsolation:
-    """A job on a different die never adopts another job's route shard."""
+    """A job on a different die never reads another die's layout."""
 
-    def test_route_pools_keyed_by_die(self):
+    def test_layouts_keyed_by_die(self):
         engine = ServeEngine(_config())
         engine.run([Job(id="a", cmd="ksweep", source="spla@0.01",
                         rows=12, k=(0.0,)),
                     Job(id="b", cmd="ksweep", source="spla@0.01",
                         rows=13, k=(0.0,))])
-        keys = engine.caches.route_pool_keys
-        assert len(keys) == 2
-        netlist_keys = {key for key, _die in keys}
-        assert netlist_keys == {source_key("spla@0.01")}
-        assert len({die for _key, die in keys}) == 2
-        # Single-K jobs on fresh dies: nothing to reuse, nothing to
-        # skip — cross-die adoption would show up in either counter.
-        work = engine.summary()["cache"]
-        assert work["route.routes_reused"] == 0
-        assert work["route.reuse_skipped"] == 0
+        counters = engine.caches.counters()
+        assert counters["netlist_hits"] == 1
+        assert counters["layout_entries"] == 2
+        assert counters["layout_hits"] == 0
 
     def test_same_die_repeat_warm_starts(self):
+        """A repeat on the same die reuses the layout and the covering
+        memo, and still reports the cold job's rows."""
         engine = ServeEngine(_config())
         job = Job(id="a", cmd="ksweep", source="spla@0.01", rows=12,
                   k=(0.0,))
-        engine.run([job, Job(id="b", cmd="ksweep", source="spla@0.01",
-                             rows=12, k=(0.0,))])
-        work = engine.summary()["cache"]
-        assert work["route.routes_reused"] > 0
-        assert work["route.reuse_skipped"] == 0
-
-    def test_route_reuse_off_keeps_pools_empty(self):
-        config = FlowConfig(library=CORELIB018, route_reuse=False)
-        engine = ServeEngine(config)
-        engine.run([SWEEP12, SWEEP12B])
-        assert engine.caches.route_pool_keys == ()
-        assert engine.summary()["cache"]["route.routes_reused"] == 0
+        first, repeat = engine.run([job, Job(id="b", cmd="ksweep",
+                                             source="spla@0.01", rows=12,
+                                             k=(0.0,))])
+        assert engine.caches.counters()["layout_hits"] == 1
+        assert engine.summary()["cache"]["cover.memo_hits"] > 0
+        assert repeat.rows == first.rows
 
 
 class TestDeterminism:

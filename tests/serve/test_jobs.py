@@ -30,6 +30,20 @@ class TestParseJob:
         with pytest.raises(JobError, match="strategy must be one of"):
             parse_job({"cmd": "ksearch", "source": "s",
                        "strategy": "bisekt"})
+        # Values that used to slip through to run time (or into the
+        # results stream) fail at parse time, naming the bad field.
+        for fragment, field in (('"k": [Infinity]', "k"),
+                                ('"k": [NaN]', "k"),
+                                ('"k": [-5]', "k"),
+                                ('"k": "1"', "k"),
+                                ('"k": [true]', "k"),
+                                ('"k": [%s]' % ("9" * 400), "k"),
+                                ('"rows": true', "rows"),
+                                ('"tolerance": true', "tolerance"),
+                                ('"workers": true', "workers")):
+            line = '{"cmd": "ksweep", "source": "s", %s}' % fragment
+            with pytest.raises(JobError, match=f"{field} must be"):
+                parse_jobs([line])
 
     def test_bad_cmd(self):
         with pytest.raises(JobError, match="cmd must be one of"):

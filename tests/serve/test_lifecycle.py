@@ -1,73 +1,78 @@
 """Tests for cache lifecycle: LRU bounds, eviction arithmetic, sizing.
 
-The fast tests drive the cheap ``route_pool`` family (a miss allocates
-an empty :class:`RouteCache` — no placement or routing) and the
-white-box ``_put`` path with synthetic numpy payloads, so a 100-access
-mixed stream runs in milliseconds; one engine-level test then checks
+The fast tests drive the cheap ``matcher`` family (a miss allocates
+an empty :class:`~repro.core.matching.Matcher` over one tiny shared
+network — no matching, placement or routing) and the white-box
+``_put`` path with synthetic numpy payloads, so a 100-access mixed
+stream runs in well under a second; one engine-level test then checks
 that bounded caches change nothing but the wall clock.
 """
 
 import numpy as np
 import pytest
 
+from repro.circuits import spla_like
 from repro.core import FlowConfig
 from repro.library import CORELIB018
-from repro.place import Floorplan
+from repro.network import decompose
 from repro.serve import CacheBounds, Job, ServeEngine, SessionCaches
 from repro.serve.caches import approx_nbytes
 
 
-def _mixed_keys(n):
-    """A 100-job-style mixed stream of (netlist, die) route-pool keys.
+@pytest.fixture(scope="module")
+def base():
+    """The tiny base network every matcher entry is built over."""
+    return decompose(spla_like(0.01))
 
-    Cycles 10 netlists over 3 dies with a skewed revisit pattern, so
-    the stream has genuine hits, misses and re-misses after eviction.
+
+def _mixed_keys(n):
+    """A 100-job-style mixed stream of matcher keys.
+
+    Cycles 30 keys with a skewed revisit pattern, so the stream has
+    genuine hits, misses and re-misses after eviction.
     """
     keys = []
     for i in range(n):
-        net = f"bench:n{i % 10}@0.01"
-        rows = 12 + (i % 3)
-        keys.append((net, Floorplan.from_rows(rows)))
+        keys.append(f"bench:n{i % 10}@0.01/{12 + i % 3}")
         if i % 4 == 0:  # revisit the hottest key
-            keys.append(("bench:n0@0.01", Floorplan.from_rows(12)))
+            keys.append("bench:n0@0.01/12")
     return keys
 
 
 class TestEntryBounds:
-    def test_100_job_mixed_stream_respects_entry_bound(self):
+    def test_100_job_mixed_stream_respects_entry_bound(self, base):
         bounds = CacheBounds(max_entries=8)
         caches = SessionCaches(CORELIB018, bounds=bounds)
         keys = _mixed_keys(100)
-        for net, floorplan in keys:
-            caches.route_pool(net, floorplan)
-            assert len(caches.route_pool_keys) <= 8
+        for key in keys:
+            caches.matcher(key, base)
+            assert caches.counters()["matcher_entries"] <= 8
         counters = caches.counters()
         accesses = len(keys)
         # hits + misses == accesses; inserts == misses; whatever was
         # inserted is either still resident or was evicted.
-        assert counters["route_pool_hits"] + \
-            counters["route_pool_misses"] == accesses
-        assert counters["route_pool_misses"] == \
-            counters["route_pool_entries"] + \
-            counters["route_pool_evictions"]
-        assert counters["route_pool_evictions"] > 0
-        assert counters["evictions"] == counters["route_pool_evictions"]
+        assert counters["matcher_hits"] + \
+            counters["matcher_misses"] == accesses
+        assert counters["matcher_misses"] == \
+            counters["matcher_entries"] + \
+            counters["matcher_evictions"]
+        assert counters["matcher_evictions"] > 0
+        assert counters["evictions"] == counters["matcher_evictions"]
 
-    def test_unbounded_never_evicts(self):
+    def test_unbounded_never_evicts(self, base):
         caches = SessionCaches(CORELIB018)
-        for net, floorplan in _mixed_keys(100):
-            caches.route_pool(net, floorplan)
+        for key in _mixed_keys(100):
+            caches.matcher(key, base)
         assert caches.counters()["evictions"] == 0
 
-    def test_lru_evicts_least_recently_used(self):
+    def test_lru_evicts_least_recently_used(self, base):
         caches = SessionCaches(CORELIB018, bounds=CacheBounds(max_entries=2))
-        f = Floorplan.from_rows(12)
-        caches.route_pool("bench:a@1", f)
-        caches.route_pool("bench:b@1", f)
-        caches.route_pool("bench:a@1", f)     # refresh a
-        caches.route_pool("bench:c@1", f)     # must evict b, not a
-        keys = {net for net, _die in caches.route_pool_keys}
-        assert keys == {"bench:a@1", "bench:c@1"}
+        caches.matcher("bench:a@1", base)
+        caches.matcher("bench:b@1", base)
+        caches.matcher("bench:a@1", base)     # refresh a
+        caches.matcher("bench:c@1", base)     # must evict b, not a
+        assert set(caches._families["matcher"]) == {"bench:a@1",
+                                                    "bench:c@1"}
 
 
 class TestByteBounds:
@@ -90,7 +95,7 @@ class TestByteBounds:
                                bounds=CacheBounds(max_bytes=64 * 1024))
         caches._put("layout", "old", np.zeros(4096))
         caches._put("matcher", "new", np.zeros(4096))
-        caches._put("route_pool", "newer", np.zeros(4096))
+        caches._put("netlist", "newer", np.zeros(4096))
         # 96 KiB total: the globally oldest entry goes first.
         assert "old" not in caches._families["layout"]
         assert caches.counters()["layout_evictions"] == 1
@@ -152,7 +157,7 @@ class TestEngineWithBounds:
             [r.to_json() for r in unbounded]
         counters = engine.cache_counters()
         assert counters["evictions"] > 0
-        for family in ("netlist", "layout", "matcher", "route_pool"):
+        for family in ("netlist", "layout", "matcher"):
             assert counters[f"{family}_entries"] <= 1
         summary = engine.summary()
         assert summary["cache"]["evictions"] == counters["evictions"]

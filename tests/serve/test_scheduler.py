@@ -110,9 +110,9 @@ class TestParallelByteIdentity:
         # engine's own caches never ran a job.
         assert cache["netlist_hits"] >= 2
         assert cache["layout_hits"] >= 1
-        assert cache["route_pool_hits"] >= 1
-        # Three affinity chains -> three chain-local route pools.
-        assert cache["route_pool_entries"] == 3
+        assert cache["matcher_hits"] >= 1
+        # Three affinity chains -> three chain-local layouts.
+        assert cache["layout_entries"] == 3
         assert len(summary["per_job"]) == len(MIXED)
         assert {e["id"] for e in summary["per_job"]} == \
             {j.id for j in MIXED}

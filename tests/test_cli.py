@@ -26,6 +26,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_k_list_parsed(self):
+        args = build_parser().parse_args(["ksweep", "spla@0.01",
+                                          "--k", "0, 0.001,1e-2"])
+        assert args.k == [0.0, 0.001, 0.01]
+
+    @pytest.mark.parametrize("argv", [
+        ["ksweep", "spla@0.01", "--k", "0,abc"],
+        ["ksweep", "spla@0.01", "--k=-1"],
+        ["ksweep", "spla@0.01", "--k", "0,"],
+        ["ksearch", "spla@0.01", "--k", "nan"],
+        ["ksearch", "spla@0.01", "--k", "0,inf"],
+        ["map", "spla@0.01", "--k=-0.5"],
+        ["sta", "spla@0.01", "--k", "nan"],
+    ])
+    def test_bad_k_exits_with_usage(self, argv, capsys):
+        """A bad K is a usage error (exit 2), never a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --k: K must be" in err
+
 
 class TestCommands:
     def test_info_benchmark(self, capsys):
