@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import bisect as _bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..errors import MappingError
-from ..library.cell import CellLibrary
+from ..library.cell import CellLibrary, LibCell
 from ..network.dag import BaseNetwork
 from .matching import Match, Matcher, NEG, POS
 from .objectives import CoverObjective
@@ -51,7 +51,7 @@ from .partition import Tree
 from .wirecost import EUCLIDEAN, Point, PositionMap
 
 
-@dataclass
+@dataclass(slots=True)
 class Solution:
     """Best cover found for one (vertex, phase)."""
 
@@ -176,8 +176,8 @@ class CoverMemo:
     and the equivalence tests assert memo-on runs bit-identical to
     memo-off runs.
 
-    One memo hangs off each :class:`Matcher` (created by the mapper,
-    like the matcher's vertex tables).  The memo itself never queries
+    One memo hangs off each :class:`Matcher` (its ``cover_memo``,
+    declared beside the per-tree DP tables).  The memo itself never queries
     the matcher — shared-leaf reference sets are *peeked* from the
     matcher's match memo at store time, right after a DP ran — and the
     mapper credits each hit with the ``len(tree.members)`` match
@@ -200,7 +200,7 @@ class CoverMemo:
         """A lookup/store handle for one ``cover_tree`` call site."""
         mat = frozenset(v for v in tree.members
                         if v in materialized and v != tree.root)
-        key = (tree.root, tree.frozen_members(), mat)
+        key = (tree.root, tree.members, mat)
         return _MemoProbe(self, key, matcher, objective, boundary)
 
 
@@ -304,26 +304,21 @@ class _MemoProbe:
     def _derive_refs(self) -> Optional[Tuple[List[int], Tuple]]:
         """Shared-leaf references of *any* candidate match of the tree.
 
-        Peeked from the matcher's match memo (populated by the DP that
-        just ran) — peeking instead of querying keeps the matcher's
-        hit/miss counters, and with them ``map.match_queries``,
-        untouched.  Losing candidates matter too: a boundary change at
-        a leaf only a losing match references can flip the argmin, so
-        the signature must cover every reference.
+        They are the shared columns of the tree's DP table, built from
+        match lists peeked from the matcher's match memo (populated by
+        the DP that just ran) — peeking instead of querying keeps the
+        matcher's hit/miss counters, and with them
+        ``map.match_queries``, untouched.  Losing candidates matter
+        too: a boundary change at a leaf only a losing match
+        references can flip the argmin, so the signature must cover
+        every reference.
         """
         frozen = self.key[1]
-        members_sorted = sorted(frozen)
-        shared = set()
-        for v in members_sorted:
-            matches = self.matcher._memo.get((v, frozen))
-            if matches is None:  # pragma: no cover - defensive
-                return None
-            for phase in (POS, NEG):
-                for m in matches[phase]:
-                    for _, (u, ph) in m.leaves:
-                        if self._is_shared(u):
-                            shared.add((u, ph))
-        return (members_sorted, tuple(sorted(shared)))
+        lists = [self.matcher._memo.get((v, frozen)) for v in sorted(frozen)]
+        if any(matches is None for matches in lists):  # pragma: no cover
+            return None  # defensive: the DP queried every member
+        table = _tree_table(self.matcher, self.key, lists)
+        return (table.order, tuple(sorted(table.shared)))
 
 
 def _wire_for_mode(sol: Solution, objective: CoverObjective) -> float:
@@ -364,80 +359,169 @@ def _apply_conversions(cand: Dict[bool, Optional[Solution]], inv,
             cand[phase] = converted
 
 
-class _VertexTable:
-    """Flattened match descriptors for one (vertex, tree) DP step.
+class _Level:
+    """The candidates of one in-tree height level, evaluated in one batch.
 
-    Both phases' candidate lists are concatenated (POS first) so a
-    single batched evaluation scores every match at the vertex; the
-    per-phase winner is the first-occurrence argmin over each slice,
-    which reproduces a scalar scan's strict-``<`` selection.
-    Tables depend only on the match lists (never on the objective or
-    the positions), so they are cached on the matcher alongside its
-    match memo and amortize across K points.
+    ``lo:hi`` is the level's slice of the tree's candidate order;
+    ``slots`` holds each candidate's leaf columns of the value table,
+    padded to the level's widest match with the pad column, and
+    ``mask`` zeroes the pad columns' distances (``None`` without
+    padding).  ``vertices`` holds ``(vertex, POS start, NEG start,
+    end, value column of the vertex's POS phase or -1 if shared)`` in
+    ascending vertex order, candidate positions level-local.
     """
 
-    __slots__ = ("matches", "pos_count", "m", "cell_area", "leaf_groups",
-                 "cons_groups", "leaf_u", "leaf_p", "_delay_cache")
+    __slots__ = ("lo", "hi", "slots", "mask", "vertices")
 
-    def __init__(self, matches_by_phase: Dict[bool, List[Match]]):  # noqa: D107
-        matches = list(matches_by_phase[POS]) + list(matches_by_phase[NEG])
-        self.matches = matches
-        self.pos_count = len(matches_by_phase[POS])
-        self.m = len(matches)
-        self._delay_cache: Dict[float, np.ndarray] = {}
-        if not self.m:
-            return
-        self.cell_area = np.array([mt.cell.area for mt in matches],
-                                  dtype=float)
-        by_leaves: Dict[int, List[int]] = {}
-        by_consumed: Dict[int, List[int]] = {}
-        for i, mt in enumerate(matches):
-            by_leaves.setdefault(len(mt.leaves), []).append(i)
-            by_consumed.setdefault(len(mt.consumed), []).append(i)
-        self.leaf_groups = []
-        refs = set()
-        for k, idxs in sorted(by_leaves.items()):
-            idx = np.array(idxs, dtype=np.intp)
-            lu = np.array([[u for _, (u, _) in matches[i].leaves]
-                           for i in idxs], dtype=np.intp).reshape(len(idxs), k)
-            lp = np.array([[int(ph) for _, (_, ph) in matches[i].leaves]
-                           for i in idxs], dtype=np.intp).reshape(len(idxs), k)
-            self.leaf_groups.append((k, idx, lu, lp))
-            for i in idxs:
-                refs.update((u, int(ph)) for _, (u, ph) in matches[i].leaves)
+    def __init__(self, lo: int, flat: List[int], widths: List[int],
+                 pad: int, vertices: List[Tuple[int, int, int, int, int]]
+                 ) -> None:  # noqa: D107
+        self.lo = lo
+        self.hi = lo + len(widths)
+        self.vertices = vertices
+        self.slots: Optional[np.ndarray] = None
+        self.mask: Optional[np.ndarray] = None
+        if widths:
+            k = np.array(widths, dtype=np.intp)
+            used = np.arange(k.max()) < k[:, None]
+            self.slots = np.full(used.shape, pad, dtype=np.intp)
+            self.slots[used] = flat
+            if not used.all():
+                self.mask = used.astype(float)
+
+
+class _TreeTable:
+    """Tree-local DP descriptors of one subject tree.
+
+    Built once per ``(root, members, materialized members)`` from the
+    tree's match lists and cached on the matcher (``tree_tables``), so
+    it amortizes across K points; it never depends on the objective,
+    the positions or the boundary figures.
+
+    Every (vertex, phase) a candidate leaf can reference is one column
+    of the per-call value table: both phases of every non-shared member
+    first (written by the DP as it goes), then the ``shared``
+    references (filled from :class:`BoundaryInfo` per call), then one
+    pad column.  Candidates are ordered by in-tree height level — one
+    more than the highest non-shared vertex any candidate of the vertex
+    references — then by vertex, POS before NEG, each phase in
+    match-list order.  A level reads only lower levels' columns, so
+    each level is one batch.  Centroids group the whole tree's
+    candidates by consumed-set size and keep ``list(consumed)`` order,
+    the order a scalar centroid sums in.
+    """
+
+    __slots__ = ("order", "matches", "cell_area", "cells", "cell_idx",
+                 "n_internal", "shared", "cons_groups",
+                 "levels", "n_slots", "_delays")
+
+    def __init__(self, order: List[int],
+                 lists: List[Dict[bool, List[Match]]],
+                 internal: FrozenSet[int]) -> None:  # noqa: D107
+        self.order = order
+        inner = [v for v in order if v in internal]
+        self.n_internal = len(inner)
+        slot_of: Dict[Tuple[int, bool], int] = {}
+        for i, v in enumerate(inner):
+            slot_of[(v, POS)] = 2 * i
+            slot_of[(v, NEG)] = 2 * i + 1
+        n_inner_slots = 2 * len(inner)
+        inner_height = [0] * len(inner)
+        self.shared: List[Tuple[int, bool]] = []
+        # height -> [(vertex, POS list, NEG list, leaf slots, widths,
+        #             POS value column or -1)], vertices ascending.
+        by_level: Dict[int, List[Tuple]] = {}
+        for v, by_phase in zip(order, lists):
+            height = 0
+            flat: List[int] = []
+            widths: List[int] = []
+            for phase in (POS, NEG):
+                for m in by_phase[phase]:
+                    widths.append(len(m.leaves))
+                    for _, ref in m.leaves:
+                        s = slot_of.get(ref)
+                        if s is None:
+                            s = slot_of[ref] = n_inner_slots + len(self.shared)
+                            self.shared.append(ref)
+                        elif s < n_inner_slots and \
+                                inner_height[s >> 1] >= height:
+                            height = inner_height[s >> 1] + 1
+                        flat.append(s)
+            col = slot_of[(v, POS)] if v in internal else -1
+            if col >= 0:
+                inner_height[col >> 1] = height
+            by_level.setdefault(height, []).append(
+                (v, by_phase[POS], by_phase[NEG], flat, widths, col))
+        self.n_slots = len(slot_of)
+
+        # Lay the candidates out level by level.
+        self.matches: List[Match] = []
+        self.levels: List[_Level] = []
+        for height in sorted(by_level):
+            lo = len(self.matches)
+            flat_l: List[int] = []
+            widths_l: List[int] = []
+            vertices = []
+            for v, pos_m, neg_m, flat, widths, col in by_level[height]:
+                a = len(self.matches) - lo
+                self.matches.extend(pos_m)
+                self.matches.extend(neg_m)
+                flat_l.extend(flat)
+                widths_l.extend(widths)
+                vertices.append((v, a, a + len(pos_m),
+                                 len(self.matches) - lo, col))
+            self.levels.append(_Level(lo, flat_l, widths_l, self.n_slots,
+                                      vertices))
+
+        # Per-candidate cell figures and consumed sets, in that layout.
+        cell_index: Dict[str, int] = {}
+        self.cells: List[LibCell] = []
+        cell_idx: List[int] = []
+        cons_flat: List[int] = []
+        cons_size: List[int] = []
+        for m in self.matches:
+            c = cell_index.get(m.cell.name)
+            if c is None:
+                c = cell_index[m.cell.name] = len(self.cells)
+                self.cells.append(m.cell)
+            cell_idx.append(c)
+            cons_flat.extend(m.consumed)
+            cons_size.append(len(m.consumed))
+        self.cell_idx = np.array(cell_idx, dtype=np.intp)
+        self.cell_area = np.array([c.area for c in self.cells],
+                                  dtype=float)[self.cell_idx]
+        sizes = np.array(cons_size, dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        ids = np.array(cons_flat, dtype=np.intp)
+        # Candidates grouped by consumed-set size; each row lists the
+        # set in ``list(consumed)`` order.
         self.cons_groups = []
-        for s, idxs in sorted(by_consumed.items()):
-            idx = np.array(idxs, dtype=np.intp)
-            # ``list(frozenset)`` order is what a scalar centroid
-            # iterates; capture it verbatim so row sums agree bitwise.
-            cids = np.array([list(matches[i].consumed) for i in idxs],
-                            dtype=np.intp)
-            self.cons_groups.append((idx, cids))
-        ordered = sorted(refs)
-        self.leaf_u = np.array([u for u, _ in ordered], dtype=np.intp)
-        self.leaf_p = np.array([p for _, p in ordered], dtype=np.intp)
+        for size in np.unique(sizes).tolist():
+            idx = np.flatnonzero(sizes == size)
+            self.cons_groups.append(
+                (idx, ids[starts[idx, None] + np.arange(size)]))
+        self._delays: Dict[float, np.ndarray] = {}
 
     def delays(self, load: float) -> np.ndarray:
-        """Per-match cell delay under the objective's load estimate."""
-        d = self._delay_cache.get(load)
+        """Per-candidate cell delay under the objective's load estimate."""
+        d = self._delays.get(load)
         if d is None:
-            d = np.array([mt.cell.delay(load) for mt in self.matches],
-                         dtype=float)
-            self._delay_cache[load] = d
+            d = np.array([c.delay(load) for c in self.cells],
+                         dtype=float)[self.cell_idx]
+            self._delays[load] = d
         return d
 
 
-def _vertex_table(matcher: Matcher, vertex: int, frozen,
-                  matches_by_phase: Dict[bool, List[Match]]) -> _VertexTable:
-    cache = getattr(matcher, "_vertex_tables", None)
-    if cache is None:
-        cache = {}
-        matcher._vertex_tables = cache
-    key = (vertex, frozen)
-    table = cache.get(key)
+def _tree_table(matcher: Matcher, key: Tuple[int, FrozenSet[int],
+                                             FrozenSet[int]],
+                lists: List[Dict[bool, List[Match]]]) -> _TreeTable:
+    """The cached table of ``key`` = (root, members, materialized
+    members), built from ``lists`` (one per member, ascending) if new."""
+    table = matcher.tree_tables.get(key)
     if table is None:
-        table = _VertexTable(matches_by_phase)
-        cache[key] = table
+        _, members, mat = key
+        table = _TreeTable(sorted(members), lists, members - mat)
+        matcher.tree_tables[key] = table
     return table
 
 
@@ -452,153 +536,124 @@ def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
     itself is excluded from that treatment since this call is what
     materializes it.
 
-    Every candidate match at a vertex is evaluated in one batch of
-    numpy ops — leaf gathers grouped by leaf count, centroids grouped
-    by consumed-set size.  All floating-point summation orders
+    The tree's candidates are evaluated one in-tree height level at a
+    time (see :class:`_TreeTable`): every candidate's centroid comes
+    from one grouped gather per tree, and each level's leaf costs from
+    one gather of the value table.  All floating-point summation orders
     reproduce a per-match scalar DP exactly (sequential leaf sums,
     ``mean`` over the consumed set in set-iteration order), so the
     result is bit-identical to the oracle in ``tests/oracles/cover.py``.
     """
     members = tree.members
     root = tree.root
+    mat = frozenset(v for v in members if v in materialized and v != root)
+    table = _tree_table(matcher, (root, members, mat),
+                        [matcher.matches_in_tree(v, members)
+                         for v in sorted(members)])
     inv = library.inverter
     positions = boundary.positions
     X, Y = positions.arrays()
     euclid = positions.metric == EUCLIDEAN
-    nv = len(positions)
-    load = objective.load_estimate
-    inv_delay = inv.delay(load)
+    inv_delay = inv.delay(objective.load_estimate)
 
-    # Leaf value tables, one row per network vertex, one column per
-    # phase (NEG=0, POS=1): area, wire, transitive wire, arrival, com.
-    L_area = np.empty((nv, 2))
-    L_wire = np.empty((nv, 2))
-    L_wiret = np.empty((nv, 2))
-    L_arr = np.empty((nv, 2))
-    L_cx = np.empty((nv, 2))
-    L_cy = np.empty((nv, 2))
-    L_ok = np.zeros((nv, 2), dtype=bool)
+    # The value table: one column per referenced (vertex, phase) plus
+    # the pad column; rows are scratch (leaf distance), area, wire,
+    # transitive wire, arrival and the center of mass.
+    values = np.zeros((7, table.n_slots + 1))
+    values[4, -1] = -np.inf  # the pad column never wins the arrival max
+    if table.shared:
+        shared = []
+        for u, phase in table.shared:
+            arrival = boundary.arrival(u)
+            if phase == POS:
+                area, arrival_ref = 0.0, arrival
+            else:
+                area = 0.0 if boundary.has_complement(u) else inv.area
+                arrival_ref = arrival + inv_delay
+            shared.append((area, 0.0, boundary.wire(u), arrival_ref)
+                          + boundary.position(u))
+        values[1:, 2 * table.n_internal:table.n_slots] = \
+            np.array(shared).T
 
-    def is_shared(v: int) -> bool:
-        return v not in members or (v in materialized and v != root)
-
-    def fill_shared(u: int, phase: bool) -> None:
-        """Boundary values for a leaf reference to a materialized net."""
-        if not is_shared(u):
-            raise MappingError(
-                f"no solution for internal vertex {u} phase {phase}")
-        pos = boundary.position(u)
-        arrival = boundary.arrival(u)
-        wire_t = boundary.wire(u)
-        p = int(phase)
-        if phase == POS:
-            L_area[u, p] = 0.0
-            L_arr[u, p] = arrival
-        else:
-            L_area[u, p] = (0.0 if boundary.has_complement(u)
-                            else inv.area)
-            L_arr[u, p] = arrival + inv_delay
-        L_wire[u, p] = 0.0
-        L_wiret[u, p] = wire_t
-        L_cx[u, p] = pos[0]
-        L_cy[u, p] = pos[1]
-        L_ok[u, p] = True
+    comx = np.empty(len(table.matches))
+    comy = np.empty(len(table.matches))
+    for idx, cids in table.cons_groups:
+        # ``mean(axis=1)`` without its Python overhead: the same
+        # reduction, divided by the same count.
+        comx[idx] = np.add.reduce(X[cids], axis=1) / cids.shape[1]
+        comy[idx] = np.add.reduce(Y[cids], axis=1) / cids.shape[1]
+    com_l = list(zip(comx.tolist(), comy.tolist()))
+    delays = table.delays(objective.load_estimate)
+    matches = table.matches
 
     solutions: Dict[Tuple[int, bool], Solution] = {}
-    frozen = tree.frozen_members()
-    for v in sorted(members):
-        matches = matcher.matches_in_tree(v, frozen)
-        table = _vertex_table(matcher, v, frozen, matches)
-        cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
-        if table.m:
-            missing = ~L_ok[table.leaf_u, table.leaf_p]
-            if missing.any():
-                for u, p in zip(table.leaf_u[missing].tolist(),
-                                table.leaf_p[missing].tolist()):
-                    fill_shared(u, bool(p))
-            m = table.m
-            area = np.empty(m)
-            wire1 = np.empty(m)
-            wire = np.empty(m)
-            wire_t = np.empty(m)
-            arr = np.empty(m)
-            comx = np.empty(m)
-            comy = np.empty(m)
-            for idx, cids in table.cons_groups:
-                comx[idx] = X[cids].mean(axis=1)
-                comy[idx] = Y[cids].mean(axis=1)
-            delays = table.delays(load)
-            for k, idx, lu, lp in table.leaf_groups:
-                if k == 0:
-                    area[idx] = table.cell_area[idx]
-                    wire1[idx] = 0.0
-                    wire[idx] = 0.0
-                    wire_t[idx] = 0.0
-                    arr[idx] = delays[idx]
+    unsolved: Dict[int, Tuple[int, bool]] = {}
+    for level in table.levels:
+        lo, hi = level.lo, level.hi
+        if level.slots is None:
+            columns: List[List[float]] = [[]] * 6
+        else:
+            for s in unsolved:
+                if (level.slots == s).any():
+                    raise MappingError(
+                        "no solution for internal vertex {} phase {}"
+                        .format(*unsolved[s]))
+            g = values[:, level.slots]
+            cx = comx[lo:hi, None]
+            cy = comy[lo:hi, None]
+            if euclid:
+                dist = np.hypot(cx - g[5], cy - g[6])
+            else:
+                dist = np.abs(cx - g[5]) + np.abs(cy - g[6])
+            if level.mask is not None:
+                dist *= level.mask
+            g[0] = dist
+            # Sequential sums over the leaf columns, as a scalar DP
+            # adds them: wire1, area, wire, transitive wire.
+            acc = g[:4, :, 0].copy()
+            for j in range(1, g.shape[2]):
+                acc += g[:4, :, j]
+            # Rows: cost, area, wire1, wire, transitive wire, arrival.
+            out = np.empty((6, hi - lo))
+            np.add(table.cell_area[lo:hi], acc[1], out=out[1])
+            out[2] = acc[0]
+            np.add(acc[0], acc[2], out=out[3])
+            np.add(acc[0], acc[3], out=out[4])
+            np.add(g[4].max(axis=1), delays[lo:hi], out=out[5])
+            out[0] = objective.cost(
+                out[1], out[4] if objective.transitive_wire else out[3],
+                out[5])
+            columns = out.tolist()
+        costs = columns[0]
+        written: List[int] = []
+        rows: List[Tuple[float, ...]] = []
+        for v, a, b, end, col in level.vertices:
+            cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
+            for phase, first, stop in ((POS, a, b), (NEG, b, end)):
+                if stop > first:
+                    # First-occurrence argmin, as a scalar strict-``<``
+                    # scan selects.
+                    i = min(range(first, stop), key=costs.__getitem__)
+                    cand[phase] = Solution(
+                        costs[i], columns[1][i], columns[2][i],
+                        columns[3][i], columns[4][i], columns[5][i],
+                        com_l[lo + i], matches[lo + i])
+            _apply_conversions(cand, inv, objective)
+            for phase in (POS, NEG):
+                sol = cand[phase]
+                if sol is not None:
+                    solutions[(v, phase)] = sol
+                if col < 0:
                     continue
-                la = L_area[lu, lp]
-                lw = L_wire[lu, lp]
-                lt = L_wiret[lu, lp]
-                lr = L_arr[lu, lp]
-                lx = L_cx[lu, lp]
-                ly = L_cy[lu, lp]
-                cx = comx[idx]
-                cy = comy[idx]
-                if euclid:
-                    w1 = np.hypot(cx - lx[:, 0], cy - ly[:, 0])
-                else:
-                    w1 = np.abs(cx - lx[:, 0]) + np.abs(cy - ly[:, 0])
-                asum = la[:, 0]
-                w2 = lw[:, 0]
-                t2 = lt[:, 0]
-                amax = lr[:, 0]
-                for j in range(1, k):
-                    if euclid:
-                        d = np.hypot(cx - lx[:, j], cy - ly[:, j])
-                    else:
-                        d = np.abs(cx - lx[:, j]) + np.abs(cy - ly[:, j])
-                    w1 = w1 + d
-                    asum = asum + la[:, j]
-                    w2 = w2 + lw[:, j]
-                    t2 = t2 + lt[:, j]
-                    amax = np.maximum(amax, lr[:, j])
-                area[idx] = table.cell_area[idx] + asum
-                wire1[idx] = w1
-                wire[idx] = w1 + w2
-                wire_t[idx] = w1 + t2
-                arr[idx] = amax + delays[idx]
-            wire_scored = wire_t if objective.transitive_wire else wire
-            cost = objective.cost(area, wire_scored, arr)
-
-            def winner(i: int) -> Solution:
-                return Solution(
-                    cost=float(cost[i]), area=float(area[i]),
-                    wire1=float(wire1[i]), wire=float(wire[i]),
-                    wire_transitive=float(wire_t[i]),
-                    arrival=float(arr[i]),
-                    com=(float(comx[i]), float(comy[i])),
-                    match=table.matches[i])
-
-            if table.pos_count:
-                cand[POS] = winner(int(np.argmin(cost[:table.pos_count])))
-            if table.m > table.pos_count:
-                cand[NEG] = winner(table.pos_count
-                                   + int(np.argmin(cost[table.pos_count:])))
-        _apply_conversions(cand, inv, objective)
-        for phase in (POS, NEG):
-            sol = cand[phase]
-            if sol is None:
-                continue
-            solutions[(v, phase)] = sol
-            if not is_shared(v):
-                p = int(phase)
-                L_area[v, p] = sol.area
-                L_wire[v, p] = sol.wire
-                L_wiret[v, p] = sol.wire_transitive
-                L_arr[v, p] = sol.arrival
-                L_cx[v, p] = sol.com[0]
-                L_cy[v, p] = sol.com[1]
-                L_ok[v, p] = True
+                s = col if phase == POS else col + 1
+                if sol is None:
+                    unsolved[s] = (v, phase)
+                    continue
+                written.append(s)
+                rows.append((sol.area, sol.wire, sol.wire_transitive,
+                             sol.arrival) + sol.com)
+        if written:
+            values[1:, written] = np.array(rows).T
     if (root, POS) not in solutions:
         raise MappingError(f"tree rooted at {root} has no positive cover")
     return TreeCover(tree, solutions)

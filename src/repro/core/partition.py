@@ -30,7 +30,7 @@ duplication the paper calls "comparable with [12]".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from ..errors import MappingError
@@ -49,21 +49,17 @@ DEFAULT_MAX_TREE_SIZE = 4000
 
 @dataclass
 class Tree:
-    """One subject tree: a root vertex plus its internal member set."""
+    """One subject tree: a root vertex plus its internal member set.
+
+    ``members`` is frozen: it keys the matcher's memo and the covering
+    tables, so a tree is never edited after partitioning.
+    """
 
     root: int
-    members: Set[int] = field(default_factory=set)
-    _frozen: Optional[FrozenSet[int]] = field(
-        default=None, repr=False, compare=False)
+    members: FrozenSet[int] = frozenset()
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def frozen_members(self) -> FrozenSet[int]:
-        """The member set as a (cached) frozenset — the matcher memo key."""
-        if self._frozen is None or len(self._frozen) != len(self.members):
-            self._frozen = frozenset(self.members)
-        return self._frozen
 
 
 @dataclass
@@ -130,7 +126,7 @@ def _build_trees(network: BaseNetwork, fathers: Dict[int, int], style: str,
                     continue  # stays a leaf; its own tree materializes it
                 members.add(child)
                 frontier.append(child)
-        trees[root] = Tree(root=root, members=members)
+        trees[root] = Tree(root=root, members=frozenset(members))
     return Partition(style=style, fathers=fathers, roots=roots, trees=trees,
                      materialized=root_set)
 

@@ -1,12 +1,14 @@
 """Scalar oracles of the vectorized kernels, and the switch onto them.
 
-The shipped placement, covering and routing kernels are batched numpy
-renditions of simpler scalar algorithms, and they must stay
-bit-identical to them.  The scalar versions live here, out of the
+The shipped placement, matching, covering and routing kernels are
+batched or compiled renditions of simpler algorithms, and they must
+stay bit-identical to them.  The simple versions live here, out of the
 package, as the equivalence reference:
 
 * :mod:`.place` — ``solve_quadratic``, ``spread``, ``legalize_rows``
   and ``anneal``;
+* :mod:`.match` — the recursive pattern matcher, ``matches_at`` and
+  ``enumerate_matches`` (a drop-in for ``Matcher._enumerate``);
 * :mod:`.cover` — ``cover_tree``;
 * :mod:`.route` — ``route``, a drop-in for ``GlobalRouter.route``.
 
@@ -14,8 +16,9 @@ Kernel-level tests call an oracle directly.  End-to-end tests run a
 whole entry point (``place_netlist``, ``map_network``, ``k_sweep``) on
 the oracles through :func:`install`, the ``oracle_engines`` fixture or
 :func:`on_oracles`, which rebind every ``repro`` module attribute that
-holds a kernel to its oracle.  Forked process-pool workers inherit the
-rebinding.
+holds a kernel to its oracle (and the ``Matcher._enumerate`` and
+``GlobalRouter.route`` methods).  Forked process-pool workers inherit
+the rebinding.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import sys
 import pytest
 
 from repro.core import covering
+from repro.core.matching import Matcher
 from repro.place import annealing, legalize, quadratic, spreading
 from repro.route.router import GlobalRouter
 
-from . import cover, place, route
+from . import cover, match, place, route
 
 #: (kernel, its oracle) — every module binding of the kernel is swapped.
 _KERNELS = (
@@ -50,6 +54,7 @@ def install(monkeypatch: pytest.MonkeyPatch) -> None:
             for attr, value in list(vars(module).items()):
                 if value is kernel:
                     monkeypatch.setattr(module, attr, oracle)
+    monkeypatch.setattr(Matcher, "_enumerate", match.enumerate_matches)
     monkeypatch.setattr(GlobalRouter, "route", route.route)
 
 

@@ -73,11 +73,10 @@ def cover_tree(network: BaseNetwork, tree: Tree, matcher: Matcher,
                 f"no solution for internal vertex {vertex} phase {phase}")
         return sol
 
-    frozen = tree.frozen_members()
-    order = [v for v in sorted(members)]
+    order = sorted(members)
     for v in order:
         cand: Dict[bool, Optional[Solution]] = {POS: None, NEG: None}
-        matches = matcher.matches_in_tree(v, frozen)
+        matches = matcher.matches_in_tree(v, members)
         for phase in (POS, NEG):
             for match in matches[phase]:
                 sol = _evaluate(match, v, objective, positions,
