@@ -188,6 +188,17 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     return 1
 
 
+def _print_router_line(points) -> None:
+    """The router tally of a sweep or search on stderr: how many points
+    routed, how many replayed an equal input's routing, and the
+    segments the routings rerouted."""
+    hits = sum(int(p.stats.get("route.memo_hits", 0)) for p in points)
+    rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
+                   for p in points)
+    print(f"router: routings={len(points) - hits} memo_hits={hits} "
+          f"segments_rerouted={rerouted}", file=sys.stderr)
+
+
 def _cmd_ksweep(args: argparse.Namespace) -> int:
     network = _load_network(args.source)
     base = decompose(network)
@@ -198,9 +209,7 @@ def _cmd_ksweep(args: argparse.Namespace) -> int:
     points = k_sweep(base, floorplan, config, k_values=args.k,
                      progress=lambda msg: print(msg, file=sys.stderr),
                      tracer=tracer)
-    rerouted = sum(int(p.stats.get("route.segments_rerouted", 0))
-                   for p in points)
-    print(f"router: segments_rerouted={rerouted}", file=sys.stderr)
+    _print_router_line(points)
     print(k_sweep_table(points, title=f"{network.name} K sweep "
                                       f"(die {floorplan.area:.0f} um2, "
                                       f"{floorplan.num_rows} rows)"))
@@ -227,6 +236,7 @@ def _cmd_ksearch(args: argparse.Namespace) -> int:
     _emit_observability(args, tracer, evaluated)
     print(f"evaluations: {result.evaluations}/{len(result.k_grid)} "
           f"grid points ({result.strategy})", file=sys.stderr)
+    _print_router_line(result.evaluated)
     if result.chosen is not None:
         print(f"minimum routable K={result.chosen_k:g} "
               f"({result.chosen.violations} violations, "

@@ -33,7 +33,7 @@ from ..network.netlist import MappedNetlist
 from ..place.floorplan import Floorplan
 from ..place.placer import Placement, place_base_network, place_netlist
 from ..route.grid import RoutingResources
-from ..route.router import GlobalRouter, RoutingResult
+from ..route.router import GlobalRouter, Point, RoutingResult
 from ..synth.optimize import optimize
 from ..timing.sta import StaticTimingAnalyzer, TimingReport
 from .mapper import MappingResult, map_network
@@ -67,6 +67,12 @@ class FlowConfig:
     workers: int = 1
 
 
+#: An exact routing memo, alive for one serial loop of K points: the
+#: router input key (:meth:`~repro.route.router.GlobalRouter.input_key`)
+#: → the routing that input produced.  See :func:`_route`.
+RouteMemo = Dict[Tuple[Any, ...], RoutingResult]
+
+
 @dataclass
 class EvalPoint:
     """One evaluated mapping — a row of Table 2/4."""
@@ -98,13 +104,34 @@ class EvalPoint:
                 self.utilization, self.violations)
 
 
-def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
+def _route(router: GlobalRouter, net_points: Dict[str, List[Point]],
+           route_memo: Optional[RouteMemo]) -> RoutingResult:
+    """Route ``net_points``, or replay the routing of an equal input.
+
+    With a ``route_memo``, an input whose exact key is already in it
+    is not routed again: the point gets the earlier routing's
+    :meth:`~repro.route.router.RoutingResult.replay` (shared grid and
+    routes, own stats, ``route.memo_hits`` 1).  With a memo, a routed
+    input is stored in it.
+    """
+    key = router.input_key(net_points) if route_memo is not None else None
+    if key is not None and key in route_memo:
+        return route_memo[key].replay()
+    routing = router.route(net_points)
+    if key is not None:
+        route_memo[key] = routing
+    return routing
+
+
+def _placement_attempt(payload: Tuple[Any, ...], attempt: int,
+                       route_memo: Optional[RouteMemo] = None) -> EvalPoint:
     """One placement + global-routing attempt (a fan-out task).
 
     Placement *and* routing seeds advance with the attempt index, so
     retries explore both RNG streams instead of re-rolling only the
     placer against a frozen router (the router seed drives the
-    negotiation's victim ordering).
+    negotiation's victim ordering).  ``route_memo`` (serial loops
+    only) skips routing an input already routed in the same loop.
     """
     netlist, floorplan, config, k, area = payload
     seed = derive_seed(config.seed, attempt)
@@ -118,7 +145,7 @@ def _placement_attempt(payload: Tuple[Any, ...], attempt: int) -> EvalPoint:
                           max_iterations=config.max_route_iterations,
                           seed=seed)
     with tracer.span("route") as sp_route:
-        routing = router.route(placement.net_points(netlist))
+        routing = _route(router, placement.net_points(netlist), route_memo)
     sp_route.counters.absorb(routing.stats)
     stats = StatsRegistry()
     stats.time("eval.t_place", sp_place.duration)
@@ -159,7 +186,8 @@ def _select_best(points: Sequence[EvalPoint]) -> EvalPoint:
 
 def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
                      config: FlowConfig, k: float = 0.0,
-                     workers: Optional[int] = None) -> EvalPoint:
+                     workers: Optional[int] = None,
+                     route_memo: Optional[RouteMemo] = None) -> EvalPoint:
     """Place + globally route one netlist; summarise like a table row.
 
     Up to ``config.place_attempts`` placement seeds are tried and the
@@ -173,6 +201,10 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     span wrapping the *selected* attempt's span — only the chosen
     attempt is kept, so serial early-exit and parallel
     run-all-attempts produce identical span trees.
+
+    ``route_memo`` is the calling loop's routing memo (see
+    :func:`_route`); the serial attempt loop uses it, the process pool
+    does not.
     """
     tracer = Tracer("evaluate", k=k)
     area = netlist.total_area(config.library)
@@ -188,7 +220,7 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
     else:
         best = None
         for attempt in range(attempts):
-            point = _placement_attempt(payload, attempt)
+            point = _placement_attempt(payload, attempt, route_memo)
             if best is None or \
                     (point.violations, point.routed_wirelength) < \
                     (best.violations, best.routed_wirelength):
@@ -205,12 +237,15 @@ def evaluate_netlist(netlist: MappedNetlist, floorplan: Floorplan,
 def run_k_point(base: BaseNetwork, positions: PositionMap,
                 floorplan: Floorplan, config: FlowConfig,
                 k: float, partition: Optional[Partition] = None,
-                matcher: Optional[Matcher] = None) -> EvalPoint:
+                matcher: Optional[Matcher] = None,
+                route_memo: Optional[RouteMemo] = None) -> EvalPoint:
     """Map the (already placed) base network at one K and evaluate it.
 
     ``partition`` and ``matcher`` are the K-independent products of the
     base network and its placement; sweeps compute them once and pass
-    them to every K point (see :func:`k_sweep`).
+    them to every K point (see :func:`k_sweep`).  ``route_memo`` is the
+    serial loop's routing memo: K points whose maps place to the same
+    router input share one routing (see :func:`_route`).
     """
     objective = area_congestion(k)
     tracer = Tracer("k_point", k=k)
@@ -220,7 +255,8 @@ def run_k_point(base: BaseNetwork, positions: PositionMap,
                               positions=positions,
                               partition=partition, matcher=matcher)
     sp_map.counters.absorb(mapping.stats)
-    point = evaluate_netlist(mapping.netlist, floorplan, config, k=k)
+    point = evaluate_netlist(mapping.netlist, floorplan, config, k=k,
+                             route_memo=route_memo)
     point.mapping = mapping
     point.stats.time("map.t_total", sp_map.duration)
     point.stats.absorb(mapping.stats)
@@ -298,6 +334,10 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
     matcher (match memo + cover memo; serial path only — pool workers
     build their own).  Both are pure speedups; the returned rows are
     identical to an uninjected sweep's.
+
+    The serial loop keeps a routing memo for the duration of the call:
+    a K point whose router input equals an earlier point's replays
+    that routing instead of routing again (``route.memo_hits``).
     """
     if positions is None:
         positions = place_base_network(base, floorplan, seed=config.seed)
@@ -324,10 +364,12 @@ def k_sweep(base: BaseNetwork, floorplan: Floorplan, config: FlowConfig,
             return points
         if matcher is None:
             matcher = Matcher(base, config.library)
+        route_memo: RouteMemo = {}
         points = []
         for k in k_list:
             point = run_k_point(base, positions, floorplan, config, k,
-                                partition=part, matcher=matcher)
+                                partition=part, matcher=matcher,
+                                route_memo=route_memo)
             points.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)
@@ -385,7 +427,8 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
 
     ``partition`` / ``matcher``, when given, inject session-scoped
     caches the same way :func:`k_sweep` accepts them — pure speedups,
-    identical results.
+    identical results.  Like the serial sweep, the loop keeps a
+    routing memo for the duration of the call.
     """
     if positions is None:
         positions = place_base_network(base, floorplan, seed=config.seed)
@@ -397,6 +440,7 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
                                    positions=positions)
     if matcher is None:
         matcher = Matcher(base, config.library)
+    route_memo: RouteMemo = {}
     span_cm = (tracer.span("flow", tolerance=tolerance)
                if tracer is not None else contextlib.nullcontext())
     with span_cm as flow_span:
@@ -405,7 +449,8 @@ def congestion_aware_flow(base: BaseNetwork, floorplan: Floorplan,
         verdict = FLOW_SCHEDULE_EXHAUSTED
         for k in k_schedule:
             point = run_k_point(base, positions, floorplan, config, k,
-                                partition=partition, matcher=matcher)
+                                partition=partition, matcher=matcher,
+                                route_memo=route_memo)
             history.append(point)
             if tracer is not None:
                 tracer.adopt(point.trace)

@@ -53,6 +53,7 @@ from .flow import (
     EvalPoint,
     FlowConfig,
     PAPER_K_VALUES,
+    RouteMemo,
     _progress_line,
     evaluate_k_round,
     run_k_point,
@@ -117,9 +118,9 @@ class _Evaluator:
 
     Strategies talk indices; the evaluator owns the mapping to K
     values, the shared matcher, and the per-point tracing/progress
-    plumbing.  ``evaluate`` is the serial path (one shared matcher —
-    exactly :func:`~repro.core.flow.k_sweep`'s serial loop);
-    ``evaluate_round`` is the parallel-safe unit.
+    plumbing.  ``evaluate`` is the serial path (one shared matcher and
+    one routing memo — exactly :func:`~repro.core.flow.k_sweep`'s
+    serial loop); ``evaluate_round`` is the parallel-safe unit.
     """
 
     def __init__(self, base: BaseNetwork, positions: PositionMap,
@@ -145,6 +146,7 @@ class _Evaluator:
         self.exec_stats = StatsRegistry()
         self._matcher = matcher if matcher is not None \
             else Matcher(base, config.library)
+        self._route_memo: RouteMemo = {}
 
     @property
     def evals(self) -> int:
@@ -162,7 +164,8 @@ class _Evaluator:
             return self.points[i]
         point = run_k_point(self.base, self.positions, self.floorplan,
                             self.config, self.grid[i], partition=self.part,
-                            matcher=self._matcher)
+                            matcher=self._matcher,
+                            route_memo=self._route_memo)
         self._record(i, point)
         return point
 

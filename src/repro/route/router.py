@@ -30,9 +30,10 @@ call to the next.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,8 +91,9 @@ class RoutingResult:
     #: the ``route.`` namespace: ``route.t_init`` / ``route.t_negotiate``
     #: (times), ``route.nets_rerouted`` / ``route.segments_rerouted`` /
     #: ``route.iterations`` (work), ``route.violations`` /
-    #: ``route.overflowed_nets`` (counts) and ``route.wirelength``
-    #: (metric).
+    #: ``route.overflowed_nets`` (counts), ``route.wirelength``
+    #: (metric) and ``route.memo_hits`` (work: 1 on a
+    #: :meth:`replay`, else 0).
     stats: StatsRegistry = field(default_factory=StatsRegistry)
 
     @property
@@ -103,16 +105,30 @@ class RoutingResult:
         """Routed wirelength of one net (µm)."""
         return self.routes[name].wirelength(self.grid)
 
+    def replay(self) -> "RoutingResult":
+        """This routing handed out again for an equal router input.
+
+        The copy shares the grid and the routes (read-only) but owns
+        its stats: the times and the work read 0, the result counts
+        and the wirelength equal this routing's, and
+        ``route.memo_hits`` reads 1.
+        """
+        stats = _router_stats(0.0, 0.0, 0, 0, 0, self.violations,
+                              self.overflowed_nets, self.total_wirelength,
+                              memo_hits=1)
+        return dataclasses.replace(self, stats=stats)
+
 
 def _router_stats(t_init: float, t_negotiate: float, nets_rerouted: int,
                   segments_rerouted: int, iterations: int,
                   violations: int, overflowed_nets: int,
-                  wirelength: float) -> StatsRegistry:
+                  wirelength: float, memo_hits: int = 0) -> StatsRegistry:
     """The routing stats registry.
 
     Violations and overflowed nets are *results* (deterministic
     counts); reroute tallies are *work* (they vary with the
-    negotiation schedule); wirelength is a *metric*.
+    negotiation schedule); wirelength is a *metric*.  ``memo_hits``
+    is 1 only on a :meth:`RoutingResult.replay`.
     """
     stats = StatsRegistry()
     stats.time("route.t_init", t_init)
@@ -123,6 +139,7 @@ def _router_stats(t_init: float, t_negotiate: float, nets_rerouted: int,
     stats.count("route.violations", int(violations))
     stats.count("route.overflowed_nets", int(overflowed_nets))
     stats.metric("route.wirelength", float(wirelength))
+    stats.work("route.memo_hits", int(memo_hits))
     return stats
 
 
@@ -150,6 +167,21 @@ class GlobalRouter:
         self.gcell_rows = gcell_rows
         self.max_iterations = max_iterations
         self.seed = seed
+
+    def input_key(self, net_points: Dict[str, List[Point]]
+                  ) -> Tuple[Any, ...]:
+        """An exact, hashable key of ``route(net_points)``'s input.
+
+        Every router parameter plus each net's points, in the sorted
+        net order :meth:`route` visits them and in their given order
+        (the MST depends on it).  The routing is a function of exactly
+        this, so two inputs with equal keys route identically; the
+        key is compared whole, never by hash alone.
+        """
+        return (self.floorplan, self.resources, self.gcell_rows,
+                self.max_iterations, self.seed,
+                tuple((name, tuple(net_points[name]))
+                      for name in sorted(net_points)))
 
     def route(self, net_points: Dict[str, List[Point]]) -> RoutingResult:
         """Route all nets; returns the result with violation counts."""

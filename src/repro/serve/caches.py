@@ -22,7 +22,9 @@ which is reusable *across* jobs, keyed so that reuse is always sound:
   compose across jobs exactly as they do across the K points of one
   sweep.
 
-Routing is not cached: every job routes cold.  Every cache is a pure
+Routing is not cached across jobs: every job routes cold (inside one
+job, a sweep or search routes each distinct router input once; see
+:func:`repro.core.flow.k_sweep`).  Every cache is a pure
 speedup: mapping, placement and match results are deterministic
 functions of their keys, so a warm engine emits byte-identical result
 lines to a cold one, bounded or not.
@@ -34,6 +36,8 @@ store governed by one :class:`CacheBounds`: ``max_entries`` caps each
 family's entry count, ``max_bytes`` caps the *estimated* total byte
 footprint across all three families (evicting the globally
 least-recently-used entry first, whatever family it lives in).
+A matcher grows in place as jobs use it, so a bounded session
+re-estimates it after each job (:meth:`SessionCaches.resize_matcher`).
 Evictions are counted per family and in total, and the running byte
 estimate is exported as the ``serve.cache_bytes`` gauge — both visible
 in ``--profile`` and the engine summary.  Because entries are pure
@@ -293,6 +297,23 @@ class SessionCaches:
         matcher = Matcher(base, self.library)
         self._put("matcher", key, matcher)
         return matcher
+
+    def resize_matcher(self, key: str) -> None:
+        """Re-estimate a matcher entry after a job used it, then enforce
+        the bounds.
+
+        A matcher fills its match memo, tree tables and cover memo in
+        place, so its insertion-time estimate (an empty matcher)
+        understates it after every job.  Only bounded sessions read
+        the estimate to evict, so unbounded ones skip the walk.
+        """
+        if not self.bounds.bounded:
+            return
+        entry = self._families["matcher"].get(key)
+        if entry is None:
+            return
+        entry.nbytes = approx_nbytes(entry.value)
+        self._enforce_bounds()
 
     # -- reporting -------------------------------------------------------
 

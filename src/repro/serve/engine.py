@@ -24,9 +24,11 @@ against it.  The execution model is deterministic by construction:
   ``serve_workers`` and ``workers`` are complementary, not
   multiplicative.
 * **Caches are injected, not rebuilt — and they have a lifecycle.**
-  The netlist, layout and matcher come from the session cache (routing
-  always runs cold); :class:`~repro.serve.caches.CacheBounds`
-  adds LRU entry/byte limits for long sessions.
+  The netlist, layout and matcher come from the session cache; no
+  routing crosses jobs (within one job, the sweep's or search's serial
+  loop replays an equal router input's routing);
+  :class:`~repro.serve.caches.CacheBounds` adds LRU entry/byte limits
+  for long sessions.
 
 A failing job (unknown benchmark, unroutable die, bad BLIF) reports
 ``ok: false`` with the error message and the stream continues — one
@@ -83,7 +85,8 @@ __all__ = ["ServeEngine"]
 
 #: Stats suffixes summed over a job's evaluated points into the
 #: engine-level cache/work tallies (all plan-dependent by design).
-_POINT_WORK_KEYS = ("cover.memo_hits", "map.match_cache_hits")
+_POINT_WORK_KEYS = ("cover.memo_hits", "map.match_cache_hits",
+                    "route.memo_hits")
 
 #: (histogram key, per-point stats key) — the per-phase wall-times
 #: summed over a job's evaluated points into latency histograms.
@@ -209,36 +212,42 @@ class ServeEngine:
             Floorplan.for_area(base.num_gates() * 12.0 / 0.35)
         positions, part = self.caches.layout(key, base, floorplan, config)
         matcher = self.caches.matcher(key, base)
-        k_values = list(job.k) if job.k is not None else list(PAPER_K_VALUES)
-        if job.cmd == "flow":
-            flow = congestion_aware_flow(
-                base, floorplan, config, k_schedule=k_values,
-                positions=positions, tolerance=job.tolerance,
-                tracer=self.tracer, partition=part, matcher=matcher)
+        try:
+            k_values = (list(job.k) if job.k is not None
+                        else list(PAPER_K_VALUES))
+            if job.cmd == "flow":
+                flow = congestion_aware_flow(
+                    base, floorplan, config, k_schedule=k_values,
+                    positions=positions, tolerance=job.tolerance,
+                    tracer=self.tracer, partition=part, matcher=matcher)
+                return JobResult(
+                    id=job.id, cmd=job.cmd, source=job.source,
+                    ok=flow.converged, verdict=flow.verdict,
+                    chosen_k=flow.chosen_k,
+                    rows=[p.row() for p in flow.history]), flow.history
+            if job.cmd == "ksweep":
+                points = k_sweep(
+                    base, floorplan, config, k_values=k_values,
+                    positions=positions, tracer=self.tracer,
+                    partition=part, matcher=matcher)
+                return JobResult(
+                    id=job.id, cmd=job.cmd, source=job.source, ok=True,
+                    verdict="swept", rows=[p.row() for p in points]), points
+            assert job.cmd == "ksearch"
+            search = k_search(
+                base, floorplan, config, k_values=k_values,
+                positions=positions, strategy=job.strategy,
+                tolerance=job.tolerance, tracer=self.tracer,
+                partition=part, matcher=matcher)
             return JobResult(
                 id=job.id, cmd=job.cmd, source=job.source,
-                ok=flow.converged, verdict=flow.verdict,
-                chosen_k=flow.chosen_k,
-                rows=[p.row() for p in flow.history]), flow.history
-        if job.cmd == "ksweep":
-            points = k_sweep(
-                base, floorplan, config, k_values=k_values,
-                positions=positions, tracer=self.tracer, partition=part,
-                matcher=matcher)
-            return JobResult(
-                id=job.id, cmd=job.cmd, source=job.source, ok=True,
-                verdict="swept", rows=[p.row() for p in points]), points
-        assert job.cmd == "ksearch"
-        search = k_search(
-            base, floorplan, config, k_values=k_values,
-            positions=positions, strategy=job.strategy,
-            tolerance=job.tolerance, tracer=self.tracer, partition=part,
-            matcher=matcher)
-        return JobResult(
-            id=job.id, cmd=job.cmd, source=job.source,
-            ok=search.chosen is not None, verdict=search.verdict,
-            chosen_k=search.chosen_k,
-            rows=[p.row() for p in search.table_points()]), search.evaluated
+                ok=search.chosen is not None, verdict=search.verdict,
+                chosen_k=search.chosen_k,
+                rows=[p.row() for p in search.table_points()]), \
+                search.evaluated
+        finally:
+            # The job filled the matcher's memos in place.
+            self.caches.resize_matcher(key)
 
     # -- the stream ------------------------------------------------------
 

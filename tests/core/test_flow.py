@@ -127,29 +127,30 @@ class TestCongestionAwareFlow:
 
 
 def _script_violations(monkeypatch, sequence):
-    """Make every routing report the next scripted violation count.
+    """Make every evaluated point report the next scripted violation count.
 
-    The real router still runs (so all other figures stay genuine);
-    only the verdict is forced, which lets the tests drive the flow
-    heuristics through exact violation profiles.
+    The real placer and router still run (so all other figures stay
+    genuine); only the verdict is forced, which lets the tests drive
+    the flow heuristics through exact violation profiles.  The script
+    advances per evaluated point, not per router call: K points whose
+    router inputs are equal share one routing within a loop.
     """
     import repro.core.flow as flow_mod
 
-    # Re-scripting within one test must wrap the pristine router, not
-    # stack a second script on top of an exhausted one.
-    real_router = getattr(flow_mod.GlobalRouter, "_script_real",
-                          flow_mod.GlobalRouter)
+    # Re-scripting within one test must wrap the pristine evaluation,
+    # not stack a second script on top of an exhausted one.
+    real_evaluate = getattr(flow_mod.evaluate_netlist, "_script_real",
+                            flow_mod.evaluate_netlist)
     remaining = iter(sequence)
 
-    class ScriptedRouter(real_router):
-        _script_real = real_router
+    def scripted_evaluate(*args, **kwargs):
+        point = real_evaluate(*args, **kwargs)
+        point.violations = next(remaining)
+        point.routable = point.violations == 0
+        return point
 
-        def route(self, points):
-            routing = super().route(points)
-            routing.violations = next(remaining)
-            return routing
-
-    monkeypatch.setattr(flow_mod, "GlobalRouter", ScriptedRouter)
+    scripted_evaluate._script_real = real_evaluate
+    monkeypatch.setattr(flow_mod, "evaluate_netlist", scripted_evaluate)
 
 
 class TestFlowVerdicts:
@@ -465,3 +466,160 @@ class TestInjectedCaches:
         assert injected.chosen_k == default.chosen_k
         assert [p.row() for p in injected.table_points()] == \
             [p.row() for p in default.table_points()]
+
+
+def _count_routes(monkeypatch, fail=False):
+    """Count real ``GlobalRouter.route`` calls made through the flow
+    (``fail`` forces every routing to report one violation)."""
+    import repro.core.flow as flow_mod
+
+    calls = []
+
+    class CountingRouter(flow_mod.GlobalRouter):
+        def route(self, points):
+            calls.append(self.seed)
+            routing = super().route(points)
+            if fail:
+                routing.violations = 1
+            return routing
+
+    monkeypatch.setattr(flow_mod, "GlobalRouter", CountingRouter)
+    return calls
+
+
+class TestRouteMemo:
+    """A serial loop routes each distinct router input once."""
+
+    def test_repeated_k_routes_once(self, flow_setup, monkeypatch):
+        base, config, floorplan, positions = flow_setup
+        alone = run_k_point(base, positions, floorplan, config, 0.01)
+        calls = _count_routes(monkeypatch)
+        swept = k_sweep(base, floorplan, config, k_values=[0.01, 0.01],
+                        positions=positions)
+        assert len(calls) == 1
+        for point in swept:
+            assert point.row() == alone.row()
+            assert point.routed_wirelength == alone.routed_wirelength
+            assert point.overflowed_nets == alone.overflowed_nets
+        assert [p.stats["route.memo_hits"] for p in swept] == [0, 1]
+
+    def test_hit_owns_its_result_and_stats(self, flow_setup):
+        base, config, floorplan, positions = flow_setup
+        first, hit = k_sweep(base, floorplan, config, k_values=[0.01, 0.01],
+                             positions=positions)
+        assert hit.routing is not first.routing
+        assert hit.routing.stats is not first.routing.stats
+        assert hit.stats is not first.stats
+        # Grid and routes are shared, read-only.
+        assert hit.routing.grid is first.routing.grid
+        assert hit.routing.routes is first.routing.routes
+        # A hit did no routing work but reports the routing's results.
+        assert hit.stats["route.memo_hits"] == 1
+        assert hit.stats["route.segments_rerouted"] == 0
+        assert hit.stats["route.t_negotiate"] == 0.0
+        for key in ("route.violations", "route.overflowed_nets",
+                    "route.wirelength"):
+            assert hit.stats[key] == first.stats[key]
+        hit.routing.violations = 999
+        hit.routing.stats.work("route.probe", 1)
+        assert first.routing.violations == first.violations
+        assert "route.probe" not in first.routing.stats
+        first.stats.work("eval.probe", 1)
+        assert "eval.probe" not in hit.stats
+
+    def test_attempt_index_is_in_the_key(self, flow_setup, monkeypatch):
+        """Two attempts over one placement still route twice: the
+        router seed advances with the attempt."""
+        import repro.core.flow as flow_mod
+
+        base, config, floorplan, positions = flow_setup
+        netlist = run_k_point(base, positions, floorplan, config,
+                              0.0).mapping.netlist
+        real_place = flow_mod.place_netlist
+        monkeypatch.setattr(
+            flow_mod, "place_netlist",
+            lambda *args, **kwargs: real_place(*args, **dict(kwargs,
+                                                             seed=0)))
+        calls = _count_routes(monkeypatch, fail=True)
+        cfg = FlowConfig(library=config.library, place_attempts=2,
+                         max_route_iterations=2)
+        memo = {}
+        evaluate_netlist(netlist, floorplan, cfg, route_memo=memo)
+        assert calls == [0, 1]
+        assert len(memo) == 2
+        # The same two inputs again: both attempts replay.
+        point = evaluate_netlist(netlist, floorplan, cfg, route_memo=memo)
+        assert calls == [0, 1]
+        assert point.stats["route.memo_hits"] == 1
+
+    def test_reordered_points_miss(self, flow_setup, monkeypatch):
+        import repro.core.flow as flow_mod
+        from repro.route.router import GlobalRouter
+
+        base, config, floorplan, positions = flow_setup
+        point = run_k_point(base, positions, floorplan, config, 0.0)
+        net_points = point.placement.net_points(point.mapping.netlist)
+        name = next(n for n in sorted(net_points)
+                    if len(set(net_points[n])) > 1)
+        reordered = dict(net_points, **{name: net_points[name][::-1]})
+        calls = _count_routes(monkeypatch)
+        router = flow_mod.GlobalRouter(floorplan, config.resources, seed=0)
+        memo = {}
+        flow_mod._route(router, net_points, memo)
+        flow_mod._route(router, reordered, memo)
+        assert len(calls) == 2
+        assert router.input_key(net_points) != router.input_key(reordered)
+        flow_mod._route(router, dict(reversed(list(net_points.items()))),
+                        memo)
+        assert len(calls) == 2     # dict order is not part of the input
+        other = GlobalRouter(floorplan, config.resources, seed=0,
+                             gcell_rows=3)
+        assert other.input_key(net_points) != router.input_key(net_points)
+
+    def test_memo_lives_for_one_call(self, flow_setup, monkeypatch):
+        """Each serial loop threads one fresh memo through its K points
+        and keeps none after it returns."""
+        import repro.core.flow as flow_mod
+        import repro.core.ksearch as ksearch_mod
+        from repro.core import k_search
+
+        base, config, floorplan, positions = flow_setup
+        memos = []
+
+        def spy(real):
+            def run(*args, **kwargs):
+                memos.append(kwargs["route_memo"])
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(flow_mod, "run_k_point",
+                            spy(flow_mod.run_k_point))
+        monkeypatch.setattr(ksearch_mod, "run_k_point",
+                            spy(ksearch_mod.run_k_point))
+        calls = [
+            lambda: k_sweep(base, floorplan, config, k_values=[0.0, 0.01],
+                            positions=positions),
+            # A negative tolerance accepts no point, so both K run.
+            lambda: congestion_aware_flow(base, floorplan, config,
+                                          k_schedule=[0.0, 0.01],
+                                          positions=positions,
+                                          tolerance=-1),
+            lambda: k_search(base, floorplan, config, k_values=[0.0, 0.01],
+                             positions=positions, strategy="grid",
+                             tolerance=-1),
+        ]
+        seen = []
+        for call in calls + calls:
+            del memos[:]
+            call()
+            assert len(memos) == 2
+            assert memos[0] is memos[1]
+            assert all(memos[0] is not earlier for earlier in seen)
+            seen.append(memos[0])
+
+    def test_pool_path_has_no_memo(self, flow_setup):
+        base, config, floorplan, positions = flow_setup
+        points = k_sweep(base, floorplan, config, k_values=[0.01, 0.01],
+                         positions=positions, workers=2)
+        assert [p.stats["route.memo_hits"] for p in points] == [0, 0]
+        assert points[0].row() == points[1].row()

@@ -122,7 +122,20 @@ class TestDieIsolation:
                                              k=(0.0,))])
         assert engine.caches.counters()["layout_hits"] == 1
         assert engine.summary()["cache"]["cover.memo_hits"] > 0
+        # The routing memo lives inside one job: the repeat routes.
+        assert engine.summary()["cache"]["route.memo_hits"] == 0
         assert repeat.rows == first.rows
+
+    def test_route_memo_hits_are_tallied(self):
+        """A repeated K inside one job replays its routing; the summary
+        and the heartbeat count the replay."""
+        engine = ServeEngine(_config())
+        (result,) = engine.run([Job(id="a", cmd="ksweep",
+                                    source="spla@0.01", rows=12,
+                                    k=(0.0, 0.0))])
+        assert result.rows[0] == result.rows[1]
+        assert engine.summary()["cache"]["route.memo_hits"] == 1
+        assert engine.heartbeat()["cache"]["route.memo_hits"] == 1
 
 
 class TestDeterminism:

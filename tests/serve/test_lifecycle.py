@@ -161,3 +161,20 @@ class TestEngineWithBounds:
             assert counters[f"{family}_entries"] <= 1
         summary = engine.summary()
         assert summary["cache"]["evictions"] == counters["evictions"]
+
+    def test_warmed_matcher_is_resized_and_evicted(self, unbounded):
+        """A matcher enters the cache empty and fills its memos during
+        the job; a byte bound below one warmed matcher must evict it
+        after that job, not keep it at its insertion-time size."""
+        caches = SessionCaches(CORELIB018,
+                               bounds=CacheBounds(max_bytes=1 << 20))
+        engine = ServeEngine(FlowConfig(library=CORELIB018), caches=caches)
+        results = engine.run(self.JOBS[:1])
+        assert [r.to_json() for r in results] == \
+            [r.to_json() for r in unbounded[:1]]
+        counters = caches.counters()
+        assert counters["matcher_misses"] == 1
+        assert counters["matcher_evictions"] == 1
+        assert counters["matcher_entries"] == 0
+        assert caches.cache_bytes() <= 1 << 20
+

@@ -85,6 +85,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Cell Area" in out
 
+    def test_ksweep_reports_memo_hits(self, capsys):
+        """A repeated K replays the first point's routing."""
+        assert main(["ksweep", "spla@0.02", "--k", "0.01,0.01",
+                     "--rows", "16"]) == 0
+        err = capsys.readouterr().err
+        assert "router: routings=1 memo_hits=1 segments_rerouted=" in err
+
     def test_flow_runs(self, capsys):
         code = main(["flow", "spla@0.02", "--rows", "18",
                      "--tolerance", "50"])
